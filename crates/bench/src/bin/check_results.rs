@@ -10,8 +10,8 @@
 //! skipped, or silently stopped calling [`results::record`] turns the
 //! job red instead of quietly thinning the perf history.
 
-use bench::cli::Args;
 use bench::results::{self, Json, REGISTERED_DRIVERS};
+use service::cli::Args;
 use std::process::ExitCode;
 
 /// Every sweep point the `wire_load` driver emits must carry these

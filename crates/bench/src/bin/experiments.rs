@@ -12,9 +12,9 @@
 //! sequential ones before recording a speedup: the runner's determinism
 //! contract means worker count may only ever change the wall clock.
 
-use bench::cli::Args;
 use bench::results::{self, Json};
 use p2psim::experiment::{run_experiments_on, ExperimentConfig};
+use service::cli::Args;
 use std::time::Instant;
 use trials::TrialRunner;
 use watermark::detect::{ideal_series, Detector};

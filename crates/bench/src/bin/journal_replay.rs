@@ -20,12 +20,12 @@
 //! verdict bytes against the journal — the replay oracle must report
 //! zero divergences, which the driver asserts.
 
-use bench::cli::Args;
 use bench::results::{self, Json};
 use forensic_law::batch::BatchAssessor;
 use forensic_law::spec::parse_jsonl;
 use journal::{read_all, Journal, JournalConfig, Mode, RecordData, SyncPolicy};
 use obs::TraceId;
+use service::cli::Args;
 use std::time::Instant;
 use trials::derive_seed;
 

@@ -9,9 +9,9 @@
 //! count. `--nodes N` additionally runs the attack on population-scale
 //! overlays up to N peers (100k+ works in release builds).
 
-use bench::cli::Args;
 use p2psim::experiment::{run_experiment, run_experiments_on, ExperimentBatch, ExperimentConfig};
 use p2psim::peer::DelayModel;
+use service::cli::Args;
 use trials::TrialRunner;
 
 fn main() {

@@ -7,8 +7,8 @@
 //! is averaged over the trials, which fan out across the worker threads
 //! with results independent of the worker count.
 
-use bench::cli::Args;
 use p2psim::gnutella_experiment::{run_comparisons_on, ComparisonConfig};
+use service::cli::Args;
 use trials::TrialRunner;
 
 fn main() {

@@ -18,9 +18,9 @@
 //! Everything lands under the `plan_search` key in
 //! `BENCH_results.json`.
 
-use bench::cli::Args;
 use bench::results::{self, Json};
 use planner::{parse_problem, PlanOutcome, Planner};
+use service::cli::Args;
 use std::fmt::Write as _;
 
 /// The collect-spec pool, cycled to build synthetic problems: the

@@ -25,7 +25,6 @@
 //! sprinkle of repeated malformed lines rides along to exercise the
 //! bad-request dedupe path over the wire.
 
-use bench::cli::Args;
 use bench::results::{self, Json};
 use forensic_law::batch::BatchAssessor;
 use forensic_law::factkey::FactKey;
@@ -33,6 +32,7 @@ use forensic_law::spec::{parse_jsonl, ActionSpec};
 use journal::compact::{compact, Retention};
 use journal::{read_all, Journal, JournalConfig, Mode, Record, RecordData, SyncPolicy};
 use obs::TraceId;
+use service::cli::Args;
 use service::prelude::*;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -58,7 +58,7 @@ const TEMPLATES: &[&str] = &[
 ];
 
 /// Repeated malformed lines: identical bytes supersede each other, so
-/// all of them compact down to [`MALFORMED.len()`] records.
+/// all of them compact down to `MALFORMED.len()` records.
 const MALFORMED: &[&str] = &[
     "this is not a scenario",
     r#"{"actor": 42}"#,
@@ -178,45 +178,6 @@ fn refire(
     (wall, total, source.divergences)
 }
 
-/// Either serving model behind one handle (epoll where available — the
-/// C10K pairing the replay engine is built for).
-fn start_server(service: &Arc<ComplianceService>) -> (std::net::SocketAddr, ServerHandle) {
-    #[cfg(target_os = "linux")]
-    {
-        let server = EventServer::start("127.0.0.1:0", Arc::clone(service), WireConfig::default())
-            .expect("bind loopback");
-        (server.local_addr(), ServerHandle::Event(server))
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let server = WireServer::start("127.0.0.1:0", Arc::clone(service), WireConfig::default())
-            .expect("bind loopback");
-        (server.local_addr(), ServerHandle::Threaded(server))
-    }
-}
-
-enum ServerHandle {
-    #[cfg(target_os = "linux")]
-    Event(EventServer),
-    #[cfg(not(target_os = "linux"))]
-    Threaded(WireServer),
-}
-
-impl ServerHandle {
-    fn shutdown(self) {
-        match self {
-            #[cfg(target_os = "linux")]
-            ServerHandle::Event(s) => {
-                s.shutdown();
-            }
-            #[cfg(not(target_os = "linux"))]
-            ServerHandle::Threaded(s) => {
-                s.shutdown();
-            }
-        }
-    }
-}
-
 fn main() {
     let args = Args::parse();
     let records = args.u64_flag("records", 100_000);
@@ -326,9 +287,10 @@ fn main() {
         policy: AdmissionPolicy::Block,
         default_deadline: None,
         engine_floor: Duration::ZERO,
-        ..ServiceConfig::default()
     }));
-    let (addr, server) = start_server(&service);
+    let server = EventServer::start("127.0.0.1:0", Arc::clone(&service), WireConfig::default())
+        .expect("bind loopback");
+    let addr = server.local_addr();
     let (replay_wall, refired, divergences) = refire(addr, connections, pipeline, &recovered);
     let replay_rps = refired as f64 / replay_wall.as_secs_f64();
     println!(

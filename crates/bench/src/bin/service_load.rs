@@ -34,10 +34,10 @@
 //! every accepted request got exactly one response, and nothing was
 //! answered twice (double-fulfilment panics in the service itself).
 
-use bench::cli::Args;
 use bench::results::{self, Json};
 use forensic_law::prelude::*;
 use forensic_law::scenarios::table1;
+use service::cli::Args;
 use service::prelude::*;
 use std::time::{Duration, Instant};
 use trials::derive_seed;
@@ -138,7 +138,6 @@ fn main() {
             policy: AdmissionPolicy::Block,
             default_deadline: None,
             engine_floor: Duration::from_micros(floor_us),
-            ..ServiceConfig::default()
         });
         let (wall, completed) = closed_loop(
             &service,
@@ -189,7 +188,6 @@ fn main() {
         policy: AdmissionPolicy::Block,
         default_deadline: None,
         engine_floor: Duration::ZERO,
-        ..ServiceConfig::default()
     });
     let (wall, completed) = closed_loop(&service, &patterns, seed, requests, 2);
     let finals = service.shutdown();
@@ -213,7 +211,6 @@ fn main() {
         policy: AdmissionPolicy::Reject,
         default_deadline: None,
         engine_floor: Duration::from_micros(floor_us),
-        ..ServiceConfig::default()
     });
 
     let start = Instant::now();

@@ -19,38 +19,25 @@
 //! contract the engine is built around. Everything is recorded under
 //! the `simcore_scale` key in `BENCH_results.json`.
 
-use bench::cli::Args;
 use bench::results::{self, Json};
 use p2psim::experiment::{run_experiment, run_experiments_on, ExperimentConfig};
+use service::cli::Args;
 use std::time::Instant;
 use trials::TrialRunner;
 use watermark::population::{run_population, PopulationConfig};
 
 /// Peak resident set (`VmHWM`) in KiB for this process.
-#[cfg(target_os = "linux")]
 fn peak_rss_kb() -> Option<u64> {
     let text = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = text.lines().find(|l| l.starts_with("VmHWM:"))?;
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-#[cfg(not(target_os = "linux"))]
-fn peak_rss_kb() -> Option<u64> {
-    None
-}
-
 /// Resets the RSS high-water mark so each sweep point reports its own
 /// peak. Best-effort: if the kernel refuses, `VmHWM` stays monotonic
 /// across points (still an upper bound; noted in the recorded config).
 fn reset_peak_rss() -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        std::fs::write("/proc/self/clear_refs", "5").is_ok()
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        false
-    }
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 fn rss_json() -> Json {

@@ -15,13 +15,13 @@
 //! workload order (0 keeps the cyclic order); `--threads` pins the batch
 //! assessor's worker count.
 
-use bench::cli::Args;
 use bench::results::{self, Json};
 use forensic_law::batch::{BatchAssessor, VerdictCache};
 use forensic_law::engine::ComplianceEngine;
 use forensic_law::prelude::*;
 use forensic_law::scenarios::table1;
-use netsim::rng::SimRng;
+use service::cli::Args;
+use simcore::rng::SimRng;
 use std::hint::black_box;
 use std::time::Instant;
 

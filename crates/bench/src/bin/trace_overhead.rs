@@ -33,10 +33,10 @@
 //! does not ship. The measurement lands under `"trace_overhead"` in
 //! `BENCH_results.json`.
 
-use bench::cli::Args;
 use bench::results::{self, Json};
 use forensic_law::prelude::*;
 use forensic_law::scenarios::table1;
+use service::cli::Args;
 use service::prelude::*;
 use std::process::ExitCode;
 use std::sync::{Arc, Condvar, Mutex};

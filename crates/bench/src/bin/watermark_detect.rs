@@ -8,7 +8,7 @@
 //! `--trials N`, `--threads N`, and `--seed S`; trials fan out across the
 //! worker threads with results independent of the worker count.
 
-use bench::cli::Args;
+use service::cli::Args;
 use trials::TrialRunner;
 use watermark::circuit_experiment::run_circuit_trial;
 use watermark::experiment::{run_trials_on, WatermarkExperimentConfig};

@@ -10,7 +10,7 @@
 //! suspect (~N/3) is despread in the same simulation and the target
 //! must beat the whole empirical null population.
 
-use bench::cli::Args;
+use service::cli::Args;
 use trials::TrialRunner;
 use watermark::pn::PnCode;
 use watermark::population::{run_population, PopulationConfig};

@@ -1,9 +1,7 @@
 //! Load driver for the `wire` crate: N pipelined connections over real
-//! loopback TCP against an in-process server, recording client-measured
-//! round-trip quantiles, throughput, and peak RSS per sweep point into
-//! `BENCH_results.json` under `wire_load` — one sweep per serving
-//! model, so the epoll event loop and the thread-per-connection server
-//! are directly comparable.
+//! loopback TCP against an in-process epoll [`EventServer`], recording
+//! client-measured round-trip quantiles, throughput, and peak RSS per
+//! sweep point into `BENCH_results.json` under `wire_load`.
 //!
 //! ```console
 //! $ cargo run --release --bin wire_load -- [OPTIONS]
@@ -11,8 +9,6 @@
 //!     --conns N         largest connection count swept (default 8;
 //!                       capped by the fd soft limit, loudly)
 //!     --pipeline N      in-flight window per connection (default 16)
-//!     --server MODEL    epoll|threaded|both (default both on Linux,
-//!                       threaded elsewhere)
 //!     --addr HOST:PORT  drive an external `serve --tcp` server instead
 //!                       of an in-process one (halves the fd cost per
 //!                       connection: 1 fd, not a loopback pair; books
@@ -27,20 +23,17 @@
 //! when it is not a power of two — `--conns 10000` ends on a true
 //! C10K point), each pipelining `--pipeline` requests deep, all
 //! multiplexed into the one bounded-queue service. The load generator
-//! is the shared [`wire::load`] core — on Linux a single epoll
-//! readiness loop over nonblocking sockets, so ten thousand client
-//! connections cost two threads, not twenty thousand; the same core
-//! paces journal replay in `replay --serve`. The thread-per-connection
-//! server's sweep is capped at [`THREADED_SWEEP_CAP`] connections —
-//! 2 OS threads per connection does not survive C10K, which is the
-//! point of the comparison — and the cap is always logged.
+//! is the shared [`wire::load`] core — a single epoll readiness loop
+//! over nonblocking sockets, so ten thousand client connections cost
+//! one thread, not ten thousand; the same core paces journal replay in
+//! `replay --serve`.
 //!
 //! The driver asserts exactly-once delivery at every point: every
 //! request got exactly one `ok` answer (an unknown or repeated
 //! response id panics), and the server's books agree.
 
-use bench::cli::Args;
 use bench::results::{self, Json};
+use service::cli::Args;
 use service::metrics::Histogram;
 use service::prelude::*;
 use std::sync::Arc;
@@ -65,11 +58,9 @@ const LINES: &[&str] = &[
     r#"{"actor": "leo", "data": "content", "when": "stored", "where": "media", "flags": ["hash-search"], "describe": "forensic media sweep"}"#,
 ];
 
-/// Thread-per-connection serving spends 2 OS threads per socket; past
-/// this many connections the sweep would be benchmarking the thread
-/// scheduler's collapse, so the threaded model's sweep stops here
+/// The connection cap assumed when the fd soft limit cannot be probed
 /// (logged, never silent).
-const THREADED_SWEEP_CAP: usize = 512;
+const UNPROBED_CONN_CAP: usize = 512;
 
 /// Fds reserved for everything that is not a benchmark connection
 /// pair: listener, epoll instances, eventfd, stdio, and slack.
@@ -81,7 +72,6 @@ fn line_for(seed: u64, c: u64, i: u64) -> &'static str {
 }
 
 /// The process's soft `RLIMIT_NOFILE`, probed from `/proc/self/limits`.
-#[cfg(target_os = "linux")]
 fn fd_soft_limit() -> Option<u64> {
     let text = std::fs::read_to_string("/proc/self/limits").ok()?;
     let line = text.lines().find(|l| l.starts_with("Max open files"))?;
@@ -89,77 +79,19 @@ fn fd_soft_limit() -> Option<u64> {
     line.split_whitespace().nth(3)?.parse().ok()
 }
 
-#[cfg(not(target_os = "linux"))]
-fn fd_soft_limit() -> Option<u64> {
-    None
-}
-
 /// Peak resident set (`VmHWM`) in KiB. Covers server and load
 /// generator together — both live in this process.
-#[cfg(target_os = "linux")]
 fn peak_rss_kb() -> Option<u64> {
     let text = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = text.lines().find(|l| l.starts_with("VmHWM:"))?;
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-#[cfg(not(target_os = "linux"))]
-fn peak_rss_kb() -> Option<u64> {
-    None
-}
-
 /// Resets the RSS high-water mark so each sweep point reports its own
 /// peak. Best-effort: if the kernel refuses, `VmHWM` stays monotonic
 /// across points (still an upper bound, noted in the config).
 fn reset_peak_rss() -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        std::fs::write("/proc/self/clear_refs", "5").is_ok()
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        false
-    }
-}
-
-/// Either serving model behind one handle.
-enum BenchServer {
-    Threaded(WireServer),
-    #[cfg(target_os = "linux")]
-    Event(EventServer),
-}
-
-impl BenchServer {
-    fn start(model: &str, service: &Arc<ComplianceService>) -> BenchServer {
-        match model {
-            "threaded" => BenchServer::Threaded(
-                WireServer::start("127.0.0.1:0", Arc::clone(service), WireConfig::default())
-                    .expect("bind loopback"),
-            ),
-            #[cfg(target_os = "linux")]
-            "epoll" => BenchServer::Event(
-                EventServer::start("127.0.0.1:0", Arc::clone(service), WireConfig::default())
-                    .expect("bind loopback"),
-            ),
-            other => unreachable!("unvalidated server model {other:?}"),
-        }
-    }
-
-    fn local_addr(&self) -> std::net::SocketAddr {
-        match self {
-            BenchServer::Threaded(s) => s.local_addr(),
-            #[cfg(target_os = "linux")]
-            BenchServer::Event(s) => s.local_addr(),
-        }
-    }
-
-    fn shutdown(self) -> WireMetricsSnapshot {
-        match self {
-            BenchServer::Threaded(s) => s.shutdown(),
-            #[cfg(target_os = "linux")]
-            BenchServer::Event(s) => s.shutdown().metrics,
-        }
-    }
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 /// The sweep workload as a [`LoadSource`] for the shared
@@ -199,8 +131,8 @@ impl LoadSource for SweepSource<'_> {
     }
 }
 
-/// One sweep point through the shared load core (epoll on Linux — two
-/// threads total whatever the connection count — threads elsewhere).
+/// One sweep point through the shared load core (one epoll driver
+/// thread, whatever the connection count).
 fn drive(
     addr: std::net::SocketAddr,
     connections: usize,
@@ -240,12 +172,7 @@ fn sweep_points(max: usize) -> Vec<usize> {
 fn main() {
     let args = Args::parse();
     let requests = args.u64_flag("requests", 500);
-    // `--conns` is the documented spelling; `--connections` still works.
-    let requested_max = args
-        .get("conns")
-        .map(|_| args.usize_flag("conns", 8))
-        .unwrap_or_else(|| args.usize_flag("connections", 8))
-        .max(1);
+    let requested_max = args.usize_flag("conns", 8).max(1);
     let pipeline = args.usize_flag("pipeline", 16).max(1);
     // The engine floor is a sleep, so workers overlap it even on one
     // core — keep at least 4 so connection scaling is visible on small
@@ -260,28 +187,11 @@ fn main() {
     let floor_us = args.u64_flag("floor-us", 200);
     let seed = args.u64_flag("seed", 42);
     let external = args.get("addr").map(str::to_string);
-    let default_server = if cfg!(target_os = "linux") {
-        "both"
+    let model = if external.is_some() {
+        "external"
     } else {
-        "threaded"
+        "epoll"
     };
-    let server_flag = args.get("server").unwrap_or(default_server).to_string();
-    let models: Vec<&str> = if external.is_some() {
-        vec!["external"]
-    } else {
-        match server_flag.as_str() {
-            "both" => vec!["epoll", "threaded"],
-            m @ ("epoll" | "threaded") => vec![m],
-            other => {
-                eprintln!("unknown --server {other:?} (epoll|threaded|both)");
-                std::process::exit(2);
-            }
-        }
-    };
-    if !cfg!(target_os = "linux") && models.contains(&"epoll") {
-        eprintln!("--server epoll requires Linux (epoll); use --server threaded");
-        std::process::exit(2);
-    }
 
     // Never let the sweep run the process out of fds: each in-process
     // connection is two of them (client end + server end); against an
@@ -292,7 +202,7 @@ fn main() {
     let soft_limit = fd_soft_limit();
     let conn_cap = soft_limit
         .map(|soft| (soft.saturating_sub(FD_HEADROOM) / fds_per_conn) as usize)
-        .unwrap_or(THREADED_SWEEP_CAP)
+        .unwrap_or(UNPROBED_CONN_CAP)
         .max(1);
     let max_connections = requested_max.min(conn_cap);
     println!(
@@ -318,106 +228,84 @@ fn main() {
     }
     bench::rule(76);
 
-    let mut servers_json = Json::obj();
-    for model in &models {
-        let model_max = if *model == "threaded" {
-            let capped = max_connections.min(THREADED_SWEEP_CAP);
-            if capped < max_connections {
-                println!(
-                    "threaded sweep capped at {capped} connections \
-                     (2 OS threads per connection; the epoll sweep goes to {max_connections})"
+    let mut points = Vec::new();
+    let mut base_rps = 0.0;
+    for &connections in &sweep_points(max_connections) {
+        reset_peak_rss();
+        let total = requests * connections as u64;
+        let (wall, rtt, wire_finals) = match &external {
+            Some(target) => {
+                use std::net::ToSocketAddrs as _;
+                let addr = target
+                    .to_socket_addrs()
+                    .expect("resolve --addr")
+                    .next()
+                    .expect("--addr resolves to an address");
+                let (wall, rtt) = drive(addr, connections, requests, pipeline, seed);
+                (wall, rtt, None)
+            }
+            None => {
+                let service = Arc::new(ComplianceService::start(ServiceConfig {
+                    workers,
+                    capacity,
+                    policy: AdmissionPolicy::Block,
+                    default_deadline: None,
+                    engine_floor: Duration::from_micros(floor_us),
+                }));
+                let server =
+                    EventServer::start("127.0.0.1:0", Arc::clone(&service), WireConfig::default())
+                        .expect("bind loopback");
+                let (wall, rtt) = drive(server.local_addr(), connections, requests, pipeline, seed);
+                let wire_finals = server.shutdown().metrics;
+                let finals = Arc::try_unwrap(service)
+                    .expect("server drained; last handle")
+                    .shutdown();
+                assert_eq!(wire_finals.frames_in, total, "server missed request frames");
+                assert_eq!(wire_finals.frames_out, total, "server lost response frames");
+                assert_eq!(wire_finals.protocol_errors, 0, "protocol errors under load");
+                assert_eq!(
+                    finals.responses(),
+                    finals.accepted,
+                    "service lost a response"
                 );
+                (wall, rtt, Some(wire_finals))
             }
-            capped
-        } else {
-            max_connections
         };
+        // Client-side exactly-once holds in both modes: every id
+        // was answered exactly once (duplicates panic in `drive`).
+        let rtt = rtt.snapshot();
+        assert_eq!(rtt.count, total, "client reaped a different response count");
+        let rss_kb = peak_rss_kb().unwrap_or(0);
 
-        let mut points = Vec::new();
-        let mut base_rps = 0.0;
-        for &connections in &sweep_points(model_max) {
-            reset_peak_rss();
-            let total = requests * connections as u64;
-            let (wall, rtt, wire_finals) = match &external {
-                Some(target) => {
-                    use std::net::ToSocketAddrs as _;
-                    let addr = target
-                        .to_socket_addrs()
-                        .expect("resolve --addr")
-                        .next()
-                        .expect("--addr resolves to an address");
-                    let (wall, rtt) = drive(addr, connections, requests, pipeline, seed);
-                    (wall, rtt, None)
-                }
-                None => {
-                    let service = Arc::new(ComplianceService::start(ServiceConfig {
-                        workers,
-                        capacity,
-                        policy: AdmissionPolicy::Block,
-                        default_deadline: None,
-                        engine_floor: Duration::from_micros(floor_us),
-                        ..ServiceConfig::default()
-                    }));
-                    let server = BenchServer::start(model, &service);
-                    let addr = server.local_addr();
-                    let (wall, rtt) = drive(addr, connections, requests, pipeline, seed);
-                    let wire_finals = server.shutdown();
-                    let finals = Arc::try_unwrap(service)
-                        .expect("server drained; last handle")
-                        .shutdown();
-                    assert_eq!(wire_finals.frames_in, total, "server missed request frames");
-                    assert_eq!(wire_finals.frames_out, total, "server lost response frames");
-                    assert_eq!(wire_finals.protocol_errors, 0, "protocol errors under load");
-                    assert_eq!(
-                        finals.responses(),
-                        finals.accepted,
-                        "service lost a response"
-                    );
-                    (wall, rtt, Some(wire_finals))
-                }
-            };
-            // Client-side exactly-once holds in both modes: every id
-            // was answered exactly once (duplicates panic in `drive`).
-            let rtt = rtt.snapshot();
-            assert_eq!(rtt.count, total, "client reaped a different response count");
-            let rss_kb = peak_rss_kb().unwrap_or(0);
-
-            let rps = total as f64 / wall.as_secs_f64();
-            if connections == 1 {
-                base_rps = rps;
-            }
-            println!(
-                "{model:>8}  {connections:>5} conns  {:>9.1?}  {:>9.0} req/s  {:>5.2}x vs 1 conn  p99 {}us  rss {}KiB",
-                wall, rps, rps / base_rps, rtt.p99_us, rss_kb
-            );
-            let mut point = Json::obj()
-                .set("connections", connections)
-                .set("requests_per_connection", requests)
-                .set("total_requests", total)
-                .set("wall_ms", wall.as_secs_f64() * 1e3)
-                .set("throughput_rps", rps)
-                .set("speedup_vs_1", rps / base_rps)
-                .set("rtt_p50_us", rtt.p50_us)
-                .set("rtt_p95_us", rtt.p95_us)
-                .set("rtt_p99_us", rtt.p99_us)
-                .set("rtt_max_us", rtt.max_us)
-                .set("peak_rss_kb", rss_kb);
-            if let Some(finals) = wire_finals {
-                point = point
-                    .set("peak_inflight", finals.peak_inflight)
-                    .set("wakeups", finals.wakeups)
-                    .set("writev_batches", finals.writev_batches)
-                    .set("bytes_in", finals.bytes_in)
-                    .set("bytes_out", finals.bytes_out);
-            }
-            points.push(point);
+        let rps = total as f64 / wall.as_secs_f64();
+        if connections == 1 {
+            base_rps = rps;
         }
-        servers_json = servers_json.set(
-            model,
-            Json::obj()
-                .set("connections_max", model_max)
-                .set("sweep", Json::Arr(points)),
+        println!(
+            "{model:>8}  {connections:>5} conns  {:>9.1?}  {:>9.0} req/s  {:>5.2}x vs 1 conn  p99 {}us  rss {}KiB",
+            wall, rps, rps / base_rps, rtt.p99_us, rss_kb
         );
+        let mut point = Json::obj()
+            .set("connections", connections)
+            .set("requests_per_connection", requests)
+            .set("total_requests", total)
+            .set("wall_ms", wall.as_secs_f64() * 1e3)
+            .set("throughput_rps", rps)
+            .set("speedup_vs_1", rps / base_rps)
+            .set("rtt_p50_us", rtt.p50_us)
+            .set("rtt_p95_us", rtt.p95_us)
+            .set("rtt_p99_us", rtt.p99_us)
+            .set("rtt_max_us", rtt.max_us)
+            .set("peak_rss_kb", rss_kb);
+        if let Some(finals) = wire_finals {
+            point = point
+                .set("peak_inflight", finals.peak_inflight)
+                .set("wakeups", finals.wakeups)
+                .set("writev_batches", finals.writev_batches)
+                .set("bytes_in", finals.bytes_in)
+                .set("bytes_out", finals.bytes_out);
+        }
+        points.push(point);
     }
 
     bench::rule(76);
@@ -442,7 +330,15 @@ fn main() {
                 .set("floor_us", floor_us)
                 .set("seed", seed),
         )
-        .set("servers", servers_json);
+        .set(
+            "servers",
+            Json::obj().set(
+                model,
+                Json::obj()
+                    .set("connections_max", max_connections)
+                    .set("sweep", Json::Arr(points)),
+            ),
+        );
     results::record("wire_load", section).expect("write BENCH_results.json");
     println!("wrote {}", results::RESULTS_FILE);
     println!("zero lost or duplicated responses across every sweep");

@@ -18,9 +18,9 @@
 //!
 //! Perf drivers additionally write machine-readable measurements into
 //! [`results::RESULTS_FILE`] so the trajectory is tracked across PRs, and
-//! take `--trials`/`--threads`/`--seed` flags parsed by [`cli::Args`].
+//! take `--trials`/`--threads`/`--seed` flags parsed by
+//! [`service::cli::Args`].
 
-pub mod cli;
 pub mod harness;
 pub mod results;
 

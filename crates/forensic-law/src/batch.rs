@@ -35,6 +35,7 @@ use crate::action::InvestigativeAction;
 use crate::assessment::LegalAssessment;
 use crate::engine::ComplianceEngine;
 use crate::factkey::FactKey;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -184,14 +185,18 @@ impl VerdictCache {
         self.hits.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Looks up `key` without running the engine.
-    pub fn get(&self, key: &FactKey) -> Option<Arc<LegalAssessment>> {
-        let found = self
-            .shard(key)
+    /// The resident entry for `key`, without touching the counters.
+    fn resident(&self, key: &FactKey) -> Option<Arc<LegalAssessment>> {
+        self.shard(key)
             .read()
             .expect("cache lock")
             .get(key)
-            .cloned();
+            .cloned()
+    }
+
+    /// Looks up `key` without running the engine.
+    pub fn get(&self, key: &FactKey) -> Option<Arc<LegalAssessment>> {
+        let found = self.resident(key);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -203,22 +208,34 @@ impl VerdictCache {
     /// assessment for its fact key, running `engine` only on a miss.
     ///
     /// The engine runs *outside* any lock, so a slow assessment never
-    /// blocks hits on the same shard.
+    /// blocks hits on the same shard. Counts are exact under races: a
+    /// miss is counted only by the insert that lands, so `misses` equals
+    /// the entries ever inserted, and every caller gets the resident
+    /// `Arc`.
     pub fn assess(
         &self,
         engine: &ComplianceEngine,
         action: &InvestigativeAction,
     ) -> Arc<LegalAssessment> {
         let key = FactKey::of(action);
-        if let Some(found) = self.get(&key) {
+        if let Some(found) = self.resident(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return found;
         }
         let fresh = Arc::new(engine.assess(action));
         let mut shard = self.shard(&key).write().expect("cache lock");
-        // A racing thread may have inserted first; keep whichever entry
-        // landed (both are identical by FactKey soundness).
-        shard.entry(key).or_insert_with(|| Arc::clone(&fresh));
-        fresh
+        match shard.entry(key) {
+            // A racing thread inserted first: its entry is resident (and
+            // identical by FactKey soundness), so this call is a hit.
+            Entry::Occupied(resident) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(resident.get())
+            }
+            Entry::Vacant(slot) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(slot.insert(fresh))
+            }
+        }
     }
 
     /// Number of distinct fact keys resident.
@@ -506,6 +523,39 @@ mod tests {
         let expected_hits = 2 * actions.len() as u64 - distinct_keys(&actions);
         assert_eq!(cache.stats().hits, expected_hits);
         assert_eq!(cache.stats().entries, distinct_keys(&actions));
+    }
+
+    /// Racing callers on one cold key: whichever insert lands is the
+    /// only miss, every other caller counts a hit, and all of them hold
+    /// the same resident `Arc`.
+    #[test]
+    fn racing_misses_on_one_key_count_once_and_share_the_resident_arc() {
+        const THREADS: usize = 8;
+        let engine = ComplianceEngine::new();
+        let action = table1_actions().remove(0);
+        for _ in 0..50 {
+            let cache = VerdictCache::new();
+            let start = std::sync::Barrier::new(THREADS);
+            let results: Vec<Arc<LegalAssessment>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            cache.assess(&engine, &action)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let stats = cache.stats();
+            assert_eq!(stats.misses, 1, "{stats}");
+            assert_eq!(stats.hits, THREADS as u64 - 1, "{stats}");
+            assert_eq!(stats.entries, 1);
+            let resident = cache.get(&FactKey::of(&action)).expect("resident");
+            for result in &results {
+                assert!(Arc::ptr_eq(result, &resident), "caller kept a private Arc");
+            }
+        }
     }
 
     #[test]

@@ -88,7 +88,11 @@ impl fmt::Display for RuleFiring {
     }
 }
 
-fn push_escaped(out: &mut String, s: &str) {
+/// Appends `s` to `out` escaped for a JSON string literal: `"` and `\`
+/// are backslash-escaped and every control character becomes `\u00XX`.
+/// The one escaper behind every hand-written JSONL record in the
+/// workspace (provenance, explain sinks), so their bytes agree.
+pub fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -1,8 +1,8 @@
 //! Ready-made topology builders for the experiment harnesses.
 
 use crate::node::{NodeId, Topology};
-use crate::rng::SimRng;
-use crate::time::SimDuration;
+use simcore::rng::SimRng;
+use simcore::time::SimDuration;
 
 /// A line of `n` nodes with uniform link latency.
 ///

@@ -8,7 +8,7 @@
 
 use crate::node::{LinkId, NodeId};
 use crate::packet::{FlowId, Headers, Packet};
-use crate::time::{SimDuration, SimTime};
+use simcore::time::{SimDuration, SimTime};
 use std::fmt;
 
 /// Where a tap is attached.

@@ -13,20 +13,21 @@
 //!   [`CaptureScope::RateOnly`] (the §IV-B watermark posture) are
 //!   enforced at the type level — a headers-only tap physically cannot
 //!   return payload bytes.
-//! * **Determinism** ([`rng`], [`sim`]): seeded RNG and a totally ordered
-//!   event queue make every experiment regenerable.
+//! * **Determinism** ([`sim`]): the seeded [`simcore::rng`] RNG and a
+//!   totally ordered event queue make every experiment regenerable.
 //!
 //! ## Layering
 //!
 //! netsim is the packet-level layer over the generic deterministic
-//! engine in [`simcore`]: the clock ([`time`] re-exports
-//! `simcore::time`), the RNG ([`rng`] re-exports `simcore::rng`), and
-//! the `(time, seq)`-ordered event queue (`simcore::queue::EventQueue`)
-//! all live there. netsim adds what is network-specific — topology,
-//! layered packets, hop-by-hop routing, capture taps — and the overlay
-//! simulators (`p2psim`, `anonsim`, `watermark`) build on netsim's
-//! prelude. Node and routing state are bounded per-node/per-link (no
-//! all-pairs tables), so overlays scale to 100k–1M nodes.
+//! engine in [`simcore`]: the clock (`simcore::time`), the RNG
+//! (`simcore::rng`), and the `(time, seq)`-ordered event queue
+//! (`simcore::queue::EventQueue`) all live there; the prelude
+//! re-exports the clock and RNG types. netsim adds what is
+//! network-specific — topology, layered packets, hop-by-hop routing,
+//! capture taps — and the overlay simulators (`p2psim`, `anonsim`,
+//! `watermark`) build on netsim's prelude. Node and routing state are
+//! bounded per-node/per-link (no all-pairs tables), so overlays scale
+//! to 100k–1M nodes.
 //!
 //! [`CaptureScope::HeadersOnly`]: capture::CaptureScope::HeadersOnly
 //! [`CaptureScope::FullContent`]: capture::CaptureScope::FullContent
@@ -65,10 +66,8 @@ pub mod builders;
 pub mod capture;
 pub mod node;
 pub mod packet;
-pub mod rng;
 pub mod sim;
 pub mod stats;
-pub mod time;
 pub mod traffic;
 
 /// Commonly used items, importable with `use netsim::prelude::*`.
@@ -77,9 +76,9 @@ pub mod prelude {
     pub use crate::capture::{CaptureFilter, CaptureRecord, CaptureScope, Tap, TapId, TapPoint};
     pub use crate::node::{Link, LinkId, NodeId, Topology};
     pub use crate::packet::{FlowId, Headers, Packet, Transport};
-    pub use crate::rng::SimRng;
     pub use crate::sim::{Context, Idle, Protocol, SimCounters, Simulator};
     pub use crate::stats::{pearson, quantile, summarize, Classification};
-    pub use crate::time::{SimDuration, SimTime};
     pub use crate::traffic::{CbrSource, CountingSink, ParetoOnOffSource, PoissonSource};
+    pub use simcore::rng::SimRng;
+    pub use simcore::time::{SimDuration, SimTime};
 }

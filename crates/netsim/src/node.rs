@@ -1,7 +1,7 @@
 //! Nodes, links, and the topology graph.
 
-use crate::rng::SimRng;
-use crate::time::SimDuration;
+use simcore::rng::SimRng;
+use simcore::time::SimDuration;
 use std::fmt;
 
 /// Identifier of a node in the topology.

@@ -89,7 +89,7 @@ pub struct Packet {
     headers: Headers,
     flow: FlowId,
     payload: Vec<u8>,
-    sent_at: crate::time::SimTime,
+    sent_at: simcore::time::SimTime,
 }
 
 /// Fixed per-packet header overhead in bytes (ethernet-ish 14 + IP 20 +
@@ -119,19 +119,19 @@ impl Packet {
             },
             flow,
             payload,
-            sent_at: crate::time::SimTime::ZERO,
+            sent_at: simcore::time::SimTime::ZERO,
         }
     }
 
     /// When the packet was first transmitted (stamped by the simulator).
-    pub fn sent_at(&self) -> crate::time::SimTime {
+    pub fn sent_at(&self) -> simcore::time::SimTime {
         self.sent_at
     }
 
     /// Stamps the transmission time. Called by the simulator on first
     /// send; later hops leave it untouched.
-    pub fn stamp_sent_at(&mut self, t: crate::time::SimTime) {
-        if self.sent_at == crate::time::SimTime::ZERO {
+    pub fn stamp_sent_at(&mut self, t: simcore::time::SimTime) {
+        if self.sent_at == simcore::time::SimTime::ZERO {
             self.sent_at = t;
         }
     }

@@ -20,9 +20,9 @@
 use crate::capture::{Tap, TapId, TapPoint};
 use crate::node::{LinkId, NodeId, Topology};
 use crate::packet::Packet;
-use crate::rng::SimRng;
-use crate::time::{SimDuration, SimTime};
 use simcore::queue::EventQueue;
+use simcore::rng::SimRng;
+use simcore::time::{SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// Behaviour attached to a node. All callbacks receive a [`Context`] for

@@ -3,7 +3,7 @@
 use crate::node::NodeId;
 use crate::packet::{FlowId, Packet, Transport};
 use crate::sim::{Context, Protocol};
-use crate::time::{SimDuration, SimTime};
+use simcore::time::{SimDuration, SimTime};
 
 const TICK: u64 = 1;
 

@@ -9,8 +9,8 @@
 //! ```
 //!
 //! This module is the single source of truth: the `lexforensica` CLI and
-//! the `bench` drivers (via `bench::cli`, a re-export) parse with the
-//! same code, so the two vocabularies cannot drift.
+//! the `bench` drivers parse with the same code, so the two vocabularies
+//! cannot drift.
 
 use std::collections::BTreeMap;
 

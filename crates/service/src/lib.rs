@@ -9,15 +9,11 @@
 //! triage, and answer under time pressure — and say *no* gracefully when
 //! saturated. This crate supplies that spine, std-only:
 //!
-//! * [`queue`] — the [`AdmissionQueue`] trait with an explicit
-//!   [`AdmissionPolicy`] (`Block`, `Reject` — shed load with a typed
-//!   error — or `DropOldest`) and its original `Mutex` + `Condvar`
-//!   implementation, [`BoundedQueue`].
-//! * [`mpmc`] — [`MpmcRing`], the lock-free bounded MPMC
-//!   implementation of the same trait (claim-then-publish per-slot
-//!   sequencing, parked-waiter fallback for blocking paths); the
-//!   default admission queue, selectable at runtime via
-//!   [`QueueKind`] (`--queue lockfree|locked`).
+//! * [`mpmc`] — [`MpmcRing`], the admission queue: a lock-free bounded
+//!   MPMC ring (claim-then-publish per-slot sequencing, parked-waiter
+//!   fallback for blocking paths) with an explicit [`AdmissionPolicy`]
+//!   (`Block`, `Reject` — shed load with a typed error — or
+//!   `DropOldest`).
 //! * [`service`] — [`ComplianceService`]: a worker pool draining the
 //!   queue through a shared sharded `VerdictCache`, per-request
 //!   deadlines (stale requests are answered `TimedOut` without burning
@@ -57,12 +53,10 @@
 pub mod cli;
 pub mod metrics;
 pub mod mpmc;
-pub mod queue;
 pub mod service;
 
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
-pub use mpmc::MpmcRing;
-pub use queue::{AdmissionPolicy, AdmissionQueue, BoundedQueue, PushError, QueueKind};
+pub use mpmc::{AdmissionPolicy, MpmcRing, PushError};
 pub use service::{
     ComplianceService, ObservedRejection, Outcome, ResponseObserver, ServiceConfig,
     ServiceResponse, SubmitError, Ticket,
@@ -71,7 +65,7 @@ pub use service::{
 /// The names most callers want in scope.
 pub mod prelude {
     pub use crate::metrics::MetricsSnapshot;
-    pub use crate::queue::{AdmissionPolicy, QueueKind};
+    pub use crate::mpmc::AdmissionPolicy;
     pub use crate::service::{
         ComplianceService, ObservedRejection, Outcome, ResponseObserver, ServiceConfig,
         ServiceResponse, SubmitError, Ticket,

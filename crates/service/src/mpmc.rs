@@ -1,11 +1,30 @@
-//! A lock-free bounded MPMC admission ring.
+//! The service's bounded MPMC admission queue, with explicit admission
+//! control.
 //!
-//! This is the scalable successor to [`BoundedQueue`](crate::queue::BoundedQueue):
-//! the same admission contract — [`AdmissionPolicy`] at capacity, close
-//! with drain, nothing admitted is ever silently dropped — built on the
-//! claim-then-publish per-slot sequencing protocol already proven in
-//! `crates/obs/src/ring.rs`, instead of a single `Mutex` every producer
-//! and worker serializes through.
+//! This is the service's load-bearing wall: every request a
+//! [`ComplianceService`](crate::service::ComplianceService) accepts sits
+//! here between admission and a worker picking it up. The overload
+//! decision is explicit instead of implicit:
+//!
+//! * [`AdmissionPolicy::Block`] — producers wait for space (closed-loop
+//!   clients, batch replays).
+//! * [`AdmissionPolicy::Reject`] — a full queue sheds the *new* item back
+//!   to the producer (open-loop traffic that must stay low-latency).
+//! * [`AdmissionPolicy::DropOldest`] — a full queue evicts the oldest
+//!   queued item to admit the new one (freshness-biased workloads); the
+//!   evicted item is handed back so its owner can still be answered.
+//!
+//! Closing the ring ([`MpmcRing::close`]) wakes every waiter; producers
+//! get their item back via [`PushError::Closed`], and consumers drain
+//! whatever is already queued before [`MpmcRing::pop_wait`] starts
+//! returning `None`. Nothing already admitted is ever silently dropped —
+//! that invariant is what lets the service promise exactly one response
+//! per accepted request.
+//!
+//! The ring is lock-free on its hot path, built on the claim-then-publish
+//! per-slot sequencing protocol already proven in
+//! `crates/obs/src/ring.rs`, so producers and workers never serialize
+//! through a single `Mutex`.
 //!
 //! # Protocol
 //!
@@ -45,7 +64,6 @@
 
 #![allow(unsafe_code)]
 
-use crate::queue::{AdmissionPolicy, AdmissionQueue, PushError};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -56,6 +74,58 @@ use std::time::Duration;
 /// own: the safety net that makes parking correct even if a wakeup is
 /// lost, without putting a lock on the fast path.
 const PARK_TIMEOUT: Duration = Duration::from_millis(5);
+
+/// What a producer wants done when the queue is at capacity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum AdmissionPolicy {
+    /// Wait until a consumer makes room (or the queue closes).
+    #[default]
+    Block,
+    /// Refuse the new item immediately, handing it back to the producer.
+    Reject,
+    /// Evict the oldest queued item to make room for the new one.
+    DropOldest,
+}
+
+impl AdmissionPolicy {
+    /// Parses the CLI vocabulary: `block`, `reject`, `drop-oldest`.
+    pub fn parse(word: &str) -> Option<AdmissionPolicy> {
+        Some(match word {
+            "block" => AdmissionPolicy::Block,
+            "reject" => AdmissionPolicy::Reject,
+            "drop-oldest" => AdmissionPolicy::DropOldest,
+            _ => return None,
+        })
+    }
+}
+
+impl std::fmt::Display for AdmissionPolicy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            AdmissionPolicy::Block => "block",
+            AdmissionPolicy::Reject => "reject",
+            AdmissionPolicy::DropOldest => "drop-oldest",
+        })
+    }
+}
+
+/// Why a push did not land, with the item handed back.
+#[derive(Debug)]
+pub enum PushError<T> {
+    /// The queue is at capacity (only under [`AdmissionPolicy::Reject`]).
+    Full(T),
+    /// The queue has been closed to new items.
+    Closed(T),
+}
+
+impl<T> PushError<T> {
+    /// Recovers the item that was not admitted.
+    pub fn into_inner(self) -> T {
+        match self {
+            PushError::Full(item) | PushError::Closed(item) => item,
+        }
+    }
+}
 
 /// One ring slot: a sequence number gating claim/publish plus the
 /// (conditionally initialized) value.
@@ -77,9 +147,8 @@ struct Cursor(AtomicU64);
 #[derive(Default)]
 struct ParkState;
 
-/// A bounded lock-free MPMC queue with the same admission vocabulary as
-/// [`BoundedQueue`](crate::queue::BoundedQueue). See the [module
-/// docs](self) for the protocol.
+/// A bounded lock-free MPMC queue admitting under an
+/// [`AdmissionPolicy`]. See the [module docs](self) for the protocol.
 pub struct MpmcRing<T> {
     slots: Box<[Slot<T>]>,
     mask: u64,
@@ -186,8 +255,14 @@ impl<T> MpmcRing<T> {
                 // The slot is free for this lap. Enforce the advertised
                 // bound against a fresh dequeue cursor: the cursor only
                 // grows, so a stale read under-counts departures and the
-                // check errs full, never over-admits.
-                if pos - self.dequeue_pos.0.load(Ordering::Acquire) >= self.capacity as u64 {
+                // check errs full, never over-admits. `pos` itself may be
+                // stale — another producer claimed it and a consumer
+                // popped it since our `seq` load, leaving the dequeue
+                // cursor past it — so saturate: the CAS below then fails
+                // and we chase the cursor instead of reporting "full".
+                if pos.saturating_sub(self.dequeue_pos.0.load(Ordering::Acquire))
+                    >= self.capacity as u64
+                {
                     return Err(item);
                 }
                 match self.enqueue_pos.0.compare_exchange_weak(
@@ -425,32 +500,6 @@ impl<T> Drop for MpmcRing<T> {
     }
 }
 
-impl<T: Send> AdmissionQueue<T> for MpmcRing<T> {
-    fn offer(&self, item: T, policy: AdmissionPolicy) -> Result<Vec<T>, PushError<T>> {
-        MpmcRing::push(self, item, policy)
-    }
-
-    fn take_wait(&self) -> Option<T> {
-        MpmcRing::pop_wait(self)
-    }
-
-    fn try_take(&self) -> Option<T> {
-        MpmcRing::try_pop(self)
-    }
-
-    fn close(&self) {
-        MpmcRing::close(self);
-    }
-
-    fn queued(&self) -> usize {
-        self.len()
-    }
-
-    fn capacity(&self) -> usize {
-        MpmcRing::capacity(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,5 +715,104 @@ mod tests {
         all.sort_unstable();
         let expect: Vec<usize> = (0..PRODUCERS * PER_PRODUCER).collect();
         assert_eq!(all, expect, "every pushed value popped exactly once");
+    }
+
+    /// Regression: a producer's claim position can go stale between its
+    /// `seq` load and its dequeue-cursor load — another producer claims
+    /// `pos` and a consumer pops it, leaving the cursor past `pos`. The
+    /// capacity check used to compute `pos - dequeue_pos` unchecked:
+    /// debug builds panicked on the underflow while the producer was
+    /// still registered in flight, and release builds wrapped it into a
+    /// spurious "full". A capacity-2 ring with more racing producers
+    /// than cores hits that window within a few rounds on two or more
+    /// cores.
+    #[test]
+    fn stale_claim_position_never_underflows_the_capacity_check() {
+        const ROUNDS: usize = 300;
+        const PRODUCERS: usize = 6;
+        const CONSUMERS: usize = 2;
+        const PER_PRODUCER: usize = 2_000;
+
+        /// Counts a producer out even when it panics, so the consumers
+        /// (and the scope) finish and the panic surfaces as a failure
+        /// instead of a hang.
+        struct Finished<'a>(&'a AtomicUsize);
+        impl Drop for Finished<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+
+        for _ in 0..ROUNDS {
+            let q = MpmcRing::new(2);
+            let producing = AtomicUsize::new(PRODUCERS);
+            let accepted = AtomicUsize::new(0);
+            let popped = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..CONSUMERS {
+                    scope.spawn(|| loop {
+                        // `try_pop`, not `pop_wait`: a producer that
+                        // panicked while registered would leave
+                        // `pop_wait` waiting on a ring that never
+                        // settles.
+                        let finished = producing.load(Ordering::SeqCst) == 0;
+                        if q.try_pop().is_some() {
+                            popped.fetch_add(1, Ordering::SeqCst);
+                        } else if finished {
+                            return;
+                        } else {
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+                for _ in 0..PRODUCERS {
+                    scope.spawn(|| {
+                        let _finished = Finished(&producing);
+                        for i in 0..PER_PRODUCER {
+                            if q.push(i, AdmissionPolicy::Reject).is_ok() {
+                                accepted.fetch_add(1, Ordering::SeqCst);
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(
+                popped.load(Ordering::SeqCst),
+                accepted.load(Ordering::SeqCst),
+                "an accepted item was never popped"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_capacity_is_clamped_to_one() {
+        let q = MpmcRing::new(0);
+        assert_eq!(q.capacity(), 1);
+        q.push(1, AdmissionPolicy::Reject).unwrap();
+        assert!(matches!(
+            q.push(2, AdmissionPolicy::Reject),
+            Err(PushError::Full(2))
+        ));
+    }
+
+    #[test]
+    fn try_pop_never_waits() {
+        let q = MpmcRing::<u32>::new(2);
+        assert_eq!(q.try_pop(), None);
+        q.push(7, AdmissionPolicy::Block).unwrap();
+        assert_eq!(q.try_pop(), Some(7));
+        assert_eq!(q.try_pop(), None);
+    }
+
+    #[test]
+    fn policy_vocabulary_round_trips() {
+        for policy in [
+            AdmissionPolicy::Block,
+            AdmissionPolicy::Reject,
+            AdmissionPolicy::DropOldest,
+        ] {
+            assert_eq!(AdmissionPolicy::parse(&policy.to_string()), Some(policy));
+        }
+        assert_eq!(AdmissionPolicy::parse("lifo"), None);
     }
 }

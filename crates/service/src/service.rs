@@ -1,4 +1,4 @@
-//! The compliance service: a worker pool draining the bounded queue
+//! The compliance service: a worker pool draining the admission ring
 //! through a shared [`VerdictCache`], with per-request deadlines and
 //! graceful, draining shutdown.
 //!
@@ -22,8 +22,7 @@
 //! nothing is answered twice (double-fulfilment panics).
 
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::mpmc::MpmcRing;
-use crate::queue::{AdmissionPolicy, AdmissionQueue, BoundedQueue, PushError, QueueKind};
+use crate::mpmc::{AdmissionPolicy, MpmcRing, PushError};
 use forensic_law::action::InvestigativeAction;
 use forensic_law::assessment::LegalAssessment;
 use forensic_law::batch::VerdictCache;
@@ -54,10 +53,6 @@ pub struct ServiceConfig {
     /// small CI machines as on big ones. `ZERO` (the default) means real
     /// engine cost only.
     pub engine_floor: Duration,
-    /// Which admission-queue implementation to run on: the lock-free
-    /// MPMC ring (default) or the legacy `Mutex`+`Condvar` queue, kept
-    /// for differential testing. Semantics are identical.
-    pub queue: QueueKind,
 }
 
 impl Default for ServiceConfig {
@@ -68,7 +63,6 @@ impl Default for ServiceConfig {
             policy: AdmissionPolicy::Block,
             default_deadline: None,
             engine_floor: Duration::ZERO,
-            queue: QueueKind::default(),
         }
     }
 }
@@ -268,7 +262,7 @@ impl Job {
 /// A long-running, load-tolerant compliance request server over the
 /// `forensic-law` engine. See the [module docs](self).
 pub struct ComplianceService {
-    queue: Arc<dyn AdmissionQueue<Job>>,
+    queue: Arc<MpmcRing<Job>>,
     policy: AdmissionPolicy,
     default_deadline: Option<Duration>,
     metrics: Arc<ServiceMetrics>,
@@ -280,7 +274,7 @@ impl std::fmt::Debug for ComplianceService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ComplianceService")
             .field("policy", &self.policy)
-            .field("queue_depth", &self.queue.queued())
+            .field("queue_depth", &self.queue.len())
             .field("workers", &self.workers.len())
             .finish_non_exhaustive()
     }
@@ -302,10 +296,7 @@ impl ComplianceService {
     /// service can inherit entries warmed by earlier batch runs (or by a
     /// previous incarnation of itself).
     pub fn start_with_cache(config: ServiceConfig, cache: Arc<VerdictCache>) -> Self {
-        let queue: Arc<dyn AdmissionQueue<Job>> = match config.queue {
-            QueueKind::Lockfree => Arc::new(MpmcRing::new(config.capacity)),
-            QueueKind::Locked => Arc::new(BoundedQueue::new(config.capacity)),
-        };
+        let queue = Arc::new(MpmcRing::new(config.capacity));
         let metrics = Arc::new(ServiceMetrics::default());
         let workers = (0..config.workers.max(1))
             .map(|_| {
@@ -313,7 +304,7 @@ impl ComplianceService {
                 let metrics = Arc::clone(&metrics);
                 let cache = Arc::clone(&cache);
                 let floor = config.engine_floor;
-                std::thread::spawn(move || worker_loop(queue.as_ref(), &metrics, &cache, floor))
+                std::thread::spawn(move || worker_loop(&queue, &metrics, &cache, floor))
             })
             .collect();
         ComplianceService {
@@ -413,7 +404,7 @@ impl ComplianceService {
             trace,
             notify,
         };
-        match self.queue.offer(job, self.policy) {
+        match self.queue.push(job, self.policy) {
             Ok(evicted) => {
                 self.metrics.accepted.inc();
                 for old in evicted {
@@ -467,12 +458,12 @@ impl ComplianceService {
         for worker in self.workers.drain(..) {
             worker.join().expect("worker thread panicked");
         }
-        self.metrics.snapshot(self.queue.queued())
+        self.metrics.snapshot(self.queue.len())
     }
 
     /// Live metrics (counters are running totals; histograms cumulative).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot(self.queue.queued())
+        self.metrics.snapshot(self.queue.len())
     }
 
     /// The shared verdict cache the workers assess through.
@@ -482,7 +473,7 @@ impl ComplianceService {
 
     /// Requests currently queued (admitted, not yet picked up).
     pub fn queue_depth(&self) -> usize {
-        self.queue.queued()
+        self.queue.len()
     }
 
     /// The configured admission policy.
@@ -503,14 +494,14 @@ impl Drop for ComplianceService {
 }
 
 fn worker_loop(
-    queue: &dyn AdmissionQueue<Job>,
+    queue: &MpmcRing<Job>,
     metrics: &ServiceMetrics,
     cache: &VerdictCache,
     floor: Duration,
 ) {
     let engine = ComplianceEngine::new();
     let log = obs::global();
-    while let Some(job) = queue.take_wait() {
+    while let Some(job) = queue.pop_wait() {
         let picked_up = Instant::now();
         let waited = picked_up.duration_since(job.admitted);
         metrics.queue_wait.record(waited);
@@ -603,7 +594,6 @@ mod tests {
             policy,
             default_deadline: None,
             engine_floor: Duration::from_millis(30),
-            ..ServiceConfig::default()
         }
     }
 

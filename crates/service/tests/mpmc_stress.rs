@@ -1,13 +1,11 @@
-//! Close-race accounting for both admission queues.
+//! Close-race accounting for the admission ring.
 //!
 //! The existing `queue_accounting` suite closes the queue *after* the
 //! producers finish. This file races `close()` against producers still
 //! mid-push — the exact window where a lock-free ring can strand an
 //! item (published after the closed flag went up, never drained) or
 //! double-account one (evicted by a committed `DropOldest` push *and*
-//! handed back as `Closed`). The invariant, for the [`MpmcRing`] and
-//! the legacy [`BoundedQueue`] alike, seen through the shared
-//! [`AdmissionQueue`] trait:
+//! handed back as `Closed`). The invariant for the [`MpmcRing`]:
 //!
 //! ```text
 //! accepted (popped) + dropped (evicted) + rejected (handed back) == offered
@@ -17,8 +15,7 @@
 //! shadow of the service's exactly-one-response promise during
 //! shutdown.
 
-use service::queue::{AdmissionPolicy, AdmissionQueue, BoundedQueue, PushError};
-use service::MpmcRing;
+use service::{AdmissionPolicy, MpmcRing, PushError};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -64,12 +61,13 @@ impl Ledger {
 }
 
 /// Accepted/dropped/rejected/offered after racing producers, consumers,
-/// and a mid-traffic `close()` on `queue`.
-fn close_race(queue: Arc<dyn AdmissionQueue<u64>>, policy: AdmissionPolicy) -> (u64, u64, u64) {
+/// and a mid-traffic `close()` on a capacity-4 ring.
+fn close_race(policy: AdmissionPolicy) -> (u64, u64, u64) {
     const PRODUCERS: u64 = 4;
     const CONSUMERS: usize = 2;
     const PER_PRODUCER: u64 = 400;
     let total = PRODUCERS * PER_PRODUCER;
+    let queue = Arc::new(MpmcRing::new(4));
     let ledger = Ledger::new(total);
     // Counts offers as they start, so the closer can land `close()`
     // deterministically in the middle of the blast instead of hoping a
@@ -86,16 +84,16 @@ fn close_race(queue: Arc<dyn AdmissionQueue<u64>>, policy: AdmissionPolicy) -> (
                 let queue = Arc::clone(&queue);
                 let ledger = Arc::clone(&ledger);
                 scope.spawn(move || {
-                    while let Some(id) = queue.take_wait() {
+                    while let Some(id) = queue.pop_wait() {
                         ledger.record(id, POPPED);
                         // Slow consumption saturates the queue so
                         // DropOldest actually evicts and Reject actually
                         // rejects while the close lands.
                         std::thread::sleep(Duration::from_micros(10));
                     }
-                    // take_wait returned None: closed AND drained. A
+                    // pop_wait returned None: closed AND drained. A
                     // straggler here would be an item the close stranded.
-                    assert_eq!(queue.try_take(), None, "item left behind after close");
+                    assert_eq!(queue.try_pop(), None, "item left behind after close");
                 })
             })
             .collect();
@@ -114,7 +112,7 @@ fn close_race(queue: Arc<dyn AdmissionQueue<u64>>, policy: AdmissionPolicy) -> (
                         }
                         let id = p * PER_PRODUCER + i;
                         offered.fetch_add(1, Ordering::SeqCst);
-                        match queue.offer(id, policy) {
+                        match queue.push(id, policy) {
                             Ok(victims) => {
                                 for victim in victims {
                                     ledger.record(victim, EVICTED);
@@ -164,25 +162,9 @@ fn close_race(queue: Arc<dyn AdmissionQueue<u64>>, policy: AdmissionPolicy) -> (
     (accepted, dropped, rejected)
 }
 
-fn ring(capacity: usize) -> Arc<dyn AdmissionQueue<u64>> {
-    Arc::new(MpmcRing::new(capacity))
-}
-
-fn legacy(capacity: usize) -> Arc<dyn AdmissionQueue<u64>> {
-    Arc::new(BoundedQueue::new(capacity))
-}
-
 #[test]
 fn mpmc_ring_drop_oldest_close_race_accounts_for_every_item() {
-    let (accepted, dropped, rejected) = close_race(ring(4), AdmissionPolicy::DropOldest);
-    assert!(accepted > 0, "nothing was consumed");
-    assert!(dropped > 0, "saturation produced no evictions");
-    assert!(rejected > 0, "no push observed the close");
-}
-
-#[test]
-fn legacy_queue_drop_oldest_close_race_accounts_for_every_item() {
-    let (accepted, dropped, rejected) = close_race(legacy(4), AdmissionPolicy::DropOldest);
+    let (accepted, dropped, rejected) = close_race(AdmissionPolicy::DropOldest);
     assert!(accepted > 0, "nothing was consumed");
     assert!(dropped > 0, "saturation produced no evictions");
     assert!(rejected > 0, "no push observed the close");
@@ -190,15 +172,7 @@ fn legacy_queue_drop_oldest_close_race_accounts_for_every_item() {
 
 #[test]
 fn mpmc_ring_reject_close_race_accounts_for_every_item() {
-    let (accepted, dropped, rejected) = close_race(ring(4), AdmissionPolicy::Reject);
-    assert!(accepted > 0, "nothing was consumed");
-    assert_eq!(dropped, 0, "reject must never evict");
-    assert!(rejected > 0, "saturation produced no rejections");
-}
-
-#[test]
-fn legacy_queue_reject_close_race_accounts_for_every_item() {
-    let (accepted, dropped, rejected) = close_race(legacy(4), AdmissionPolicy::Reject);
+    let (accepted, dropped, rejected) = close_race(AdmissionPolicy::Reject);
     assert!(accepted > 0, "nothing was consumed");
     assert_eq!(dropped, 0, "reject must never evict");
     assert!(rejected > 0, "saturation produced no rejections");
@@ -206,16 +180,9 @@ fn legacy_queue_reject_close_race_accounts_for_every_item() {
 
 #[test]
 fn mpmc_ring_block_close_race_accounts_for_every_item() {
-    let (accepted, dropped, rejected) = close_race(ring(4), AdmissionPolicy::Block);
+    let (accepted, dropped, rejected) = close_race(AdmissionPolicy::Block);
     assert!(accepted > 0, "nothing was consumed");
     assert_eq!(dropped, 0, "block must never evict");
     // Producers parked at the close are handed their item back.
     let _ = rejected;
-}
-
-#[test]
-fn legacy_queue_block_close_race_accounts_for_every_item() {
-    let (accepted, dropped, _) = close_race(legacy(4), AdmissionPolicy::Block);
-    assert!(accepted > 0, "nothing was consumed");
-    assert_eq!(dropped, 0, "block must never evict");
 }

@@ -1,7 +1,7 @@
 //! Exactly-one-owner accounting at the queue boundary.
 //!
 //! The service's exactly-one-response promise rests on a lower-level
-//! invariant in [`BoundedQueue`]: every item successfully pushed is
+//! invariant in [`MpmcRing`]: every item successfully pushed is
 //! handed to exactly one party — a consumer (popped), the evicting
 //! producer (`DropOldest` hands the victim back), or nobody because the
 //! push itself returned the item (`Full`/`Closed`). A dropped request is
@@ -12,7 +12,7 @@
 //! change that leaks an evicted item fails here with a precise message
 //! instead of as a hung ticket three layers up.
 
-use service::queue::{AdmissionPolicy, BoundedQueue, PushError};
+use service::{AdmissionPolicy, MpmcRing, PushError};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,16 +66,17 @@ impl Ledger {
 #[test]
 fn drop_oldest_returns_exactly_the_displaced_item() {
     let capacity = 8u64;
-    let q = BoundedQueue::new(capacity as usize);
+    let q = MpmcRing::new(capacity as usize);
     for id in 0..capacity {
-        assert!(q.push(id, AdmissionPolicy::DropOldest).unwrap().is_none());
+        assert!(q.push(id, AdmissionPolicy::DropOldest).unwrap().is_empty());
     }
     for id in capacity..2 * capacity {
-        let evicted = q
-            .push(id, AdmissionPolicy::DropOldest)
-            .unwrap()
-            .expect("a full queue must hand the displaced item back");
-        assert_eq!(evicted, id - capacity, "FIFO eviction order broken");
+        let evicted = q.push(id, AdmissionPolicy::DropOldest).unwrap();
+        assert_eq!(
+            evicted,
+            [id - capacity],
+            "a full queue must hand back exactly the displaced item, in FIFO order"
+        );
     }
     // What remains is precisely the second wave, in order.
     for id in capacity..2 * capacity {
@@ -92,7 +93,7 @@ fn stress(policy: AdmissionPolicy) -> (u64, u64, u64, u64) {
     const PRODUCERS: u64 = 4;
     const PER_PRODUCER: u64 = 500;
     let total = PRODUCERS * PER_PRODUCER;
-    let q = Arc::new(BoundedQueue::new(4));
+    let q = Arc::new(MpmcRing::new(4));
     let ledger = Ledger::new(total);
 
     std::thread::scope(|scope| {
@@ -115,8 +116,13 @@ fn stress(policy: AdmissionPolicy) -> (u64, u64, u64, u64) {
                     for i in 0..PER_PRODUCER {
                         let id = p * PER_PRODUCER + i;
                         match q.push(id, policy) {
-                            Ok(None) => {} // admitted; the consumer owns it now
-                            Ok(Some(victim)) => ledger.record(victim, EVICTED),
+                            // Admitted; the consumer owns it now, and any
+                            // victims come back to this producer.
+                            Ok(victims) => {
+                                for victim in victims {
+                                    ledger.record(victim, EVICTED);
+                                }
+                            }
                             Err(PushError::Full(item)) => ledger.record(item, HANDED_BACK),
                             Err(PushError::Closed(item)) => ledger.record(item, HANDED_BACK),
                         }

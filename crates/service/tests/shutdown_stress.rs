@@ -38,7 +38,6 @@ fn racy_run(run: usize, policy: AdmissionPolicy) -> (u64, u64, u64, u64) {
             50_000
         })),
         engine_floor: Duration::ZERO,
-        ..ServiceConfig::default()
     });
 
     let completed = AtomicU64::new(0);

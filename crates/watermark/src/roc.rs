@@ -9,7 +9,7 @@
 
 use crate::detect::{ideal_series, Detector};
 use crate::pn::PnCode;
-use netsim::rng::SimRng;
+use simcore::rng::SimRng;
 use trials::TrialRunner;
 
 /// Draws `trials` despreading statistics from the null hypothesis

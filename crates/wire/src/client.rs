@@ -201,7 +201,7 @@ fn wait_ready(shared: &ClientShared, id: u64) -> Result<Frame, WireError> {
     }
 }
 
-/// A pipelining connection to a [`WireServer`](crate::server::WireServer).
+/// A pipelining connection to an [`EventServer`](crate::EventServer).
 /// See the [module docs](self).
 #[derive(Debug)]
 pub struct WireClient {

@@ -54,7 +54,7 @@ pub(crate) enum Phase {
 
 /// Response bytes queued by observers, plus the closed flag that makes
 /// a dead connection drop further sends (the peer is gone, so are its
-/// responses — exactly the threaded writer's behavior).
+/// responses).
 #[derive(Debug, Default)]
 pub(crate) struct Outbox {
     pub(crate) queue: Vec<Vec<u8>>,
@@ -199,15 +199,14 @@ pub(crate) struct Connection {
     pub(crate) decoder: StreamDecoder,
     pub(crate) wq: WriteQueue,
     pub(crate) phase: Phase,
-    /// Last byte received; drives the idle clock, exactly like the
-    /// threaded reader's tick.
+    /// Last byte received; drives the idle clock.
     pub(crate) last_activity: Instant,
     /// Decoding stopped at the in-flight cap; resumed on completion.
     pub(crate) paused: bool,
     /// Peer sent FIN (read returned 0).
     pub(crate) peer_eof: bool,
     /// The read side died with a real socket error (counted as a
-    /// protocol error, like the threaded reader's `Err` arm).
+    /// protocol error).
     pub(crate) read_error: bool,
     /// The write side died; flushes are pointless, close when drained.
     pub(crate) dead_write: bool,

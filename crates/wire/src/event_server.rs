@@ -1,10 +1,11 @@
-//! The event-driven TCP serving layer: one epoll readiness loop
-//! multiplexing every connection, instead of two threads per socket.
+//! The TCP serving layer over [`ComplianceService`]: one epoll
+//! readiness loop multiplexing every connection, instead of threads per
+//! socket.
 //!
 //! # Why
 //!
-//! The threaded [`WireServer`](crate::server::WireServer) spends two
-//! stacks (~16 MiB of address space) and two schedulable entities per
+//! A thread-per-connection server spends stacks (~16 MiB of address
+//! space for a reader/writer pair) and schedulable entities per
 //! connection. At C10K that is twenty thousand mostly-idle threads and
 //! a scheduler meltdown. This server holds every connection as a small
 //! state machine (`Connection` in `crate::conn`) owned by **one** loop
@@ -39,30 +40,32 @@
 //!
 //! At [`WireConfig::max_inflight`] undispatched requests the loop stops
 //! decoding that connection and disarms `EPOLLIN`; the kernel's receive
-//! window fills and the client blocks — the same composition as the
-//! threaded server (wire cap per connection, service queue across
-//! connections), enforced by TCP instead of a parked reader thread.
+//! window fills and the client blocks. Admission control composes: wire
+//! cap per connection first, then the service's bounded queue across
+//! connections — enforced by TCP, not by a parked thread.
 //!
-//! # Protocol equivalence
+//! # Timeouts and drain
 //!
-//! Everything observable carries over from the threaded server
-//! byte-identically: v1/v2 frames, trace minting at decode, journal
-//! append before response enqueue, explain-sink lines, status mapping,
-//! graceful drain (serve the accept backlog, answer in-flight, FIN,
-//! bounded linger), idle timeouts, and the exactly-one-response
-//! invariant. The loopback suites run the same assertions against both
-//! servers.
+//! The loop's control tick ([`WireConfig::read_tick`]) paces the clock
+//! scan: an idle connection (no bytes and nothing in flight for
+//! [`WireConfig::idle_timeout`]) is closed, even mid-frame.
+//! [`EventServer::shutdown`] is a graceful drain: serve the accept
+//! backlog, stop decoding, answer every in-flight request and flush it,
+//! then FIN with a bounded linger. Nothing admitted is lost; nothing is
+//! answered twice — trace minting at decode, journal append before
+//! response enqueue and the explain-sink lines all hold through it.
 
 use crate::conn::{ConnShared, Connection, Phase};
 use crate::frame::{self, Explain, Frame, PlanResponse, Response, Status};
 use crate::metrics::{WireMetrics, WireMetricsSnapshot};
-use crate::server::{sink_line, solve_plan_payload, verdict_payload, ExplainSink, WireConfig};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use forensic_law::batch::BatchAssessor;
+use forensic_law::provenance::push_escaped;
 use forensic_law::spec::ActionSpec;
 use journal::{Journal, RecordData};
 use obs::{Stage, TraceId};
 use service::prelude::*;
-use std::io;
+use std::io::{self, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -86,7 +89,7 @@ const READ_BUFFER_CAP: usize = 256 * 1024;
 const READ_CHUNK: usize = 64 * 1024;
 
 /// How long a closed connection waits for the peer's FIN before
-/// dropping the socket (same bound as the threaded server).
+/// dropping the socket.
 const LINGER: Duration = Duration::from_millis(250);
 
 /// How long a fully answered `Draining` connection keeps trying to
@@ -103,6 +106,70 @@ const EVENT_BATCH: usize = 1024;
 /// between retries) before the loop gives up: `EBADF`-class errors
 /// never heal, and retrying forever would spin a core.
 const MAX_WAIT_FAILURES: u32 = 8;
+
+/// Tuning for an [`EventServer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireConfig {
+    /// Requests one connection may hold between frame decode and
+    /// response enqueue (clamped to at least one).
+    pub max_inflight: usize,
+    /// Cap on a frame body; larger length prefixes kill the connection.
+    pub max_frame: u32,
+    /// The loop's control tick: the granularity at which it notices
+    /// drain, idle and linger deadlines. Smaller is more responsive,
+    /// larger is fewer wakeups.
+    pub read_tick: Duration,
+    /// Close a connection after this long with no bytes and nothing in
+    /// flight (`None` disables). Also bounds how long a peer may stall
+    /// mid-frame.
+    pub idle_timeout: Option<Duration>,
+}
+
+impl Default for WireConfig {
+    fn default() -> Self {
+        WireConfig {
+            max_inflight: 64,
+            max_frame: frame::MAX_FRAME,
+            read_tick: Duration::from_millis(25),
+            idle_timeout: Some(Duration::from_secs(30)),
+        }
+    }
+}
+
+/// A shared JSONL sink for per-request explain records: one line per
+/// answered request — trace id, request id, status, payload, and the
+/// provenance record — written by whichever service thread answers.
+///
+/// The sink is cold-path only: it is consulted after the response is
+/// built, and a server started without one pays a single `Option`
+/// check per request.
+pub struct ExplainSink {
+    out: Mutex<Box<dyn io::Write + Send>>,
+}
+
+impl std::fmt::Debug for ExplainSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExplainSink").finish_non_exhaustive()
+    }
+}
+
+impl ExplainSink {
+    /// Wraps a writer (a file, stderr, a pipe) as a shareable sink.
+    pub fn new(out: Box<dyn io::Write + Send>) -> Arc<ExplainSink> {
+        Arc::new(ExplainSink {
+            out: Mutex::new(out),
+        })
+    }
+
+    /// Writes one record line (newline appended) and flushes, so lines
+    /// are whole even if the process dies mid-serve.
+    fn write_line(&self, line: &str) {
+        let mut out = self.out.lock().expect("sink lock");
+        let _ = out.write_all(line.as_bytes());
+        let _ = out.write_all(b"\n");
+        let _ = out.flush();
+    }
+}
 
 /// State shared by the loop thread and service-worker observers.
 struct EvShared {
@@ -129,8 +196,14 @@ impl std::fmt::Debug for EvShared {
 
 impl EvShared {
     /// Appends one disposition to the journal, if one is attached.
-    /// Append failure is terminal for the journal writer and surfaces
-    /// through `Journal::close`, not per-request.
+    ///
+    /// Every answered request — verdicts, bad requests, rejections — is
+    /// appended *before* its response is queued, so a drained server
+    /// plus a closed journal holds every acknowledged disposition. The
+    /// hot path pays one bounded-channel send; fsync is the journal
+    /// writer's group-commit problem. Append failure is terminal for the
+    /// journal writer and surfaces through `Journal::close`, not
+    /// per-request.
     fn journal_record(&self, trace: TraceId, status: Status, request: Vec<u8>, verdict: Vec<u8>) {
         if let Some(journal) = &self.journal {
             let _ = journal.append(RecordData {
@@ -157,10 +230,8 @@ impl EvShared {
 }
 
 /// A running event-driven TCP front end over a
-/// [`ComplianceService`]. Drop-in for
-/// [`WireServer`](crate::server::WireServer) — same constructors, same
-/// wire behavior, two threads total (accept is folded into the loop).
-/// See the [module docs](self).
+/// [`ComplianceService`]: two threads total, whatever the connection
+/// count (accept is folded into the loop). See the [module docs](self).
 #[derive(Debug)]
 pub struct EventServer {
     local_addr: SocketAddr,
@@ -180,28 +251,19 @@ impl EventServer {
         service: Arc<ComplianceService>,
         config: WireConfig,
     ) -> io::Result<EventServer> {
-        EventServer::start_with_explain(addr, service, config, None)
+        EventServer::start_with_sinks(addr, service, config, None, None)
     }
 
-    /// [`start`](Self::start), plus a server-side [`ExplainSink`] with
-    /// the same record format as the threaded server.
-    ///
-    /// # Errors
-    ///
-    /// As for [`start`](Self::start).
-    pub fn start_with_explain(
-        addr: impl ToSocketAddrs,
-        service: Arc<ComplianceService>,
-        config: WireConfig,
-        explain: Option<Arc<ExplainSink>>,
-    ) -> io::Result<EventServer> {
-        EventServer::start_with_sinks(addr, service, config, explain, None)
-    }
-
-    /// [`start_with_explain`](Self::start_with_explain), plus an
-    /// optional durable request [`Journal`]; every answered request is
-    /// appended before its response frame is enqueued, exactly as the
-    /// threaded server does.
+    /// [`start`](Self::start), plus two optional sinks. A server-side
+    /// [`ExplainSink`] gets one JSONL record (trace id, request id,
+    /// status, payload, provenance) per answered request, whether or not
+    /// the client asked for in-band explain. A durable request
+    /// [`Journal`] gets every answered request (trace id, status byte,
+    /// raw request payload, verdict bytes) before its response frame is
+    /// enqueued. The journal stays owned by the caller — close it
+    /// *after* [`shutdown`](Self::shutdown) so the drain's final
+    /// responses are on disk, and treat a close error as
+    /// acknowledged-but-unjournaled responses.
     ///
     /// # Errors
     ///
@@ -347,8 +409,7 @@ impl EventLoop {
     fn run(mut self) {
         let mut events = vec![EpollEvent::default(); EVENT_BATCH];
         loop {
-            // The tick doubles as the idle/linger/drain scan cadence,
-            // mirroring the threaded server's read-timeout tick.
+            // The tick doubles as the idle/linger/drain scan cadence.
             let tick = self.shared.config.read_tick;
             let n = match self.epoll.wait(&mut events, Some(tick)) {
                 Ok(n) => {
@@ -635,8 +696,8 @@ impl EventLoop {
     /// backlog (the kernel already completed those handshakes — closing
     /// the listener now would RST them), deregister the listener, slurp
     /// every open connection's buffered bytes, dispatch all decoded
-    /// frames (the in-flight cap is waived during drain, exactly like
-    /// the threaded reader's `acquire_slot`), and stop consuming input.
+    /// frames (the in-flight cap is waived during drain, so nothing
+    /// already received waits on a slot), and stop consuming input.
     /// Undecoded partial bytes are abandoned without a protocol error —
     /// the server initiated this close.
     fn begin_drain(&mut self) {
@@ -690,8 +751,7 @@ impl EventLoop {
                     if let Some(idle) = self.shared.config.idle_timeout {
                         if conn.last_activity.elapsed() >= idle && conn.inflight() == 0 {
                             // Server-initiated close: never a protocol
-                            // error, even mid-frame (same as the
-                            // threaded tick's synthesized EOF).
+                            // error, even mid-frame.
                             conn.phase = Phase::Draining;
                         }
                     }
@@ -748,7 +808,7 @@ fn read_socket(conn: &mut Connection, scratch: &mut [u8], metrics: &WireMetrics)
             }
             Err(_) => {
                 // A real socket error mid-conversation counts as a
-                // protocol error, matching the threaded reader.
+                // protocol error.
                 if matches!(conn.phase, Phase::Open) {
                     metrics.protocol_errors.inc();
                 }
@@ -822,8 +882,7 @@ fn pump_decode(shared: &Arc<EvShared>, conn: &mut Connection) {
 
 /// Moves completed responses from the outbox into the write queue and
 /// flushes as much as the socket accepts. A fatal write error closes
-/// the outbox (the peer is gone; responses drop, as in the threaded
-/// writer).
+/// the outbox (the peer is gone; its responses drop).
 fn collect_and_flush(conn: &mut Connection, metrics: &WireMetrics) {
     for bytes in conn.shared.take_responses() {
         conn.wq.push(bytes);
@@ -840,7 +899,7 @@ fn collect_and_flush(conn: &mut Connection, metrics: &WireMetrics) {
 }
 
 /// Encodes a response frame, recording the serialize span under the
-/// request's trace — the same span the threaded writer records.
+/// request's trace.
 fn encode_response(trace: TraceId, response: Response) -> Vec<u8> {
     let log = obs::global();
     let status = response.status;
@@ -875,15 +934,69 @@ fn encode_plan_response(trace: TraceId, response: PlanResponse) -> Vec<u8> {
     bytes
 }
 
-/// The event-loop counterpart of the threaded server's
-/// `handle_plan_request`: the search runs on a spawned thread — plan
+/// The verdict line for a completed assessment — exactly the
+/// `{verdict} [{confidence}]` text `assess-batch` prints between the
+/// line number and the summary, so remote output diffs byte-for-byte.
+fn verdict_payload(response: &ServiceResponse) -> (Status, Vec<u8>) {
+    match &response.outcome {
+        Outcome::Completed(_) => (
+            Status::Ok,
+            response
+                .outcome
+                .verdict_line()
+                .expect("completed outcomes render a verdict line")
+                .into_bytes(),
+        ),
+        Outcome::TimedOut => (Status::TimedOut, Vec::new()),
+        Outcome::Shed => (Status::Shed, Vec::new()),
+    }
+}
+
+/// One JSONL explain record for the server-side sink.
+fn sink_line(trace: TraceId, id: u64, status: Status, payload: &[u8], provenance: &str) -> String {
+    let mut line = format!(r#"{{"trace":{trace},"id":{id},"status":"{status}","payload":""#);
+    push_escaped(&mut line, &String::from_utf8_lossy(payload));
+    line.push_str(r#"","provenance":"#);
+    line.push_str(provenance);
+    line.push('}');
+    line
+}
+
+/// Parses and solves one wire plan-request payload against a planner
+/// sharing the service-wide verdict cache, returning the response
+/// status and payload: `Ok` with the rendered plan or "no lawful path"
+/// explanation, `BadRequest` with the per-line parse errors. A plan is
+/// a whole best-first search — far heavier than one assessment — so
+/// callers run this on a dedicated thread, never the event loop.
+fn solve_plan_payload(service: &ComplianceService, payload: &[u8]) -> (Status, Vec<u8>) {
+    let problem = match planner::parse_problem(payload) {
+        Ok(problem) => problem,
+        Err(errors) => {
+            let text = errors
+                .iter()
+                .map(|e| e.to_string())
+                .collect::<Vec<_>>()
+                .join("\n");
+            return (Status::BadRequest, text.into_bytes());
+        }
+    };
+    let assessor = BatchAssessor::new().sharing_cache(Arc::clone(service.cache()));
+    match planner::Planner::from_assessor(assessor).solve(&problem) {
+        Ok(outcome) => (Status::Ok, outcome.render().into_bytes()),
+        Err(e) => (Status::BadRequest, e.to_string().into_bytes()),
+    }
+}
+
+/// A v3 plan request: the search runs on a spawned thread — plan
 /// traffic is rare and each request is a whole best-first search, far
 /// too heavy for the loop thread — with the planner's assessor sharing
-/// the service-wide verdict cache. The in-flight slot is held until
-/// the response lands in the outbox, so graceful drain waits for
-/// running solves. Plan dispositions are not journaled (the replay
-/// contract re-parses recorded requests as single action specs) and
-/// skip the explain sink.
+/// the service-wide verdict cache, so fact patterns recur as cache hits
+/// across plan and assess traffic alike. `deadline_ms` is ignored (see
+/// [`frame`]'s module docs). The in-flight slot is held until the
+/// response lands in the outbox, so graceful drain waits for running
+/// solves. Plan dispositions are not journaled (the replay contract
+/// re-parses recorded requests as single action specs) and skip the
+/// explain sink.
 fn dispatch_plan_request(
     shared: &Arc<EvShared>,
     conn: &mut Connection,
@@ -919,10 +1032,10 @@ fn dispatch_plan_request(
     });
 }
 
-/// The event-loop counterpart of the threaded server's
-/// `handle_request`: same trace minting, same slot accounting, same
-/// journal/sink/status semantics — only the response delivery differs
-/// (write queue on the loop thread, outbox + doorbell from workers).
+/// An assess request: parse, submit with a completion observer, and
+/// answer parse failures and rejections in-band. Responses reach the
+/// write queue directly on the loop thread, or through the outbox and
+/// doorbell from service workers.
 fn dispatch_request(shared: &Arc<EvShared>, conn: &mut Connection, request: frame::Request) {
     let metrics = &shared.metrics;
     let received = Instant::now();

@@ -6,8 +6,9 @@
 //! remote requester — the law-enforcement/provider interface the source
 //! paper's legal analysis keeps returning to — can actually dial.
 //!
-//! Everything here is `std::net` + threads; no external dependencies,
-//! no async runtime.
+//! Everything here is `std::net` plus a dep-free epoll/eventfd shim; no
+//! external dependencies, no async runtime. The crate is Linux-only,
+//! and says so at compile time.
 //!
 //! * [`frame`] — the length-prefixed binary protocol: request frames
 //!   carry a client-chosen id, a per-request deadline, and one JSONL
@@ -15,27 +16,22 @@
 //!   byte, service timings, and the verdict line. Oversized length
 //!   prefixes are refused before allocation; torn frames are
 //!   distinguished from clean EOF.
-//! * [`server`] — [`WireServer`]: the threaded model — accept loop plus
-//!   per-connection reader/writer threads. Requests **pipeline** — the
-//!   reader keeps decoding while earlier requests are still in the
-//!   service, responses complete out of order matched by id — under a
-//!   per-connection in-flight cap, with read/idle timeouts and a
-//!   graceful drain that loses nothing admitted.
-//! * [`event_server`] (Linux) — [`EventServer`]: the same wire contract
-//!   served by a single epoll readiness loop over [`sys`]'s dep-free
-//!   syscall shim: per-connection state machines, batched frame decode,
-//!   vectored-write coalescing, and an eventfd completion doorbell.
-//!   Two threads total regardless of connection count — the C10K
-//!   server. Byte-identical protocol, journal, and explain output to
-//!   the threaded server.
+//! * [`event_server`] — [`EventServer`]: a single epoll readiness loop
+//!   over [`sys`]'s dep-free syscall shim: per-connection state
+//!   machines, batched frame decode, vectored-write coalescing, and an
+//!   eventfd completion doorbell. Requests **pipeline** — responses
+//!   complete out of order, matched by id — under a per-connection
+//!   in-flight cap, with idle timeouts and a graceful drain that loses
+//!   nothing admitted. Two threads total regardless of connection
+//!   count — the C10K server.
 //! * [`client`] — [`WireClient`]: a thread-safe
 //!   pipelining client (submit returns a [`PendingCall`];
 //!   a reader thread routes responses back by id).
-//! * [`load`] — the load-generation core: one driver thread sustaining
-//!   thousands of pipelined in-flight requests across many connections
-//!   (epoll on Linux, thread-per-connection elsewhere), pulling work
-//!   from a [`LoadSource`] with optional microsecond pacing. Shared by
-//!   the `wire_load` bench sweep and journal replay.
+//! * [`load`] — the load-generation core: one epoll driver thread
+//!   sustaining thousands of pipelined in-flight requests across many
+//!   connections, pulling work from a [`LoadSource`] with optional
+//!   microsecond pacing. Shared by the `wire_load` bench sweep and
+//!   journal replay.
 //! * [`metrics`] — connection-level counters and a wire-latency
 //!   histogram in the same snapshot/JSON model as the service metrics.
 //!
@@ -45,7 +41,7 @@
 //! use wire::prelude::*;
 //!
 //! let service = Arc::new(ComplianceService::start(ServiceConfig::default()));
-//! let server = WireServer::start("127.0.0.1:0", Arc::clone(&service), WireConfig::default())
+//! let server = EventServer::start("127.0.0.1:0", Arc::clone(&service), WireConfig::default())
 //!     .expect("bind loopback");
 //!
 //! let client = WireClient::connect(server.local_addr()).expect("dial");
@@ -67,38 +63,33 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("the wire crate is Linux-only: it serves and drives load over epoll and eventfd");
+
 pub mod client;
-#[cfg(target_os = "linux")]
 pub(crate) mod conn;
-#[cfg(target_os = "linux")]
 pub mod event_server;
 pub mod frame;
 pub mod load;
 pub mod metrics;
-pub mod server;
-#[cfg(target_os = "linux")]
 pub mod sys;
 
 pub use client::{PendingCall, PendingPlan, WireClient, WireError};
-#[cfg(target_os = "linux")]
-pub use event_server::EventServer;
+pub use event_server::{EventServer, ExplainSink, WireConfig};
 pub use frame::{
     Frame, FrameError, PlanRequest, PlanResponse, Request, Response, Status, StreamDecoder,
     MAX_FRAME,
 };
 pub use load::{LoadRequest, LoadSource};
 pub use metrics::{WireMetrics, WireMetricsSnapshot};
-pub use server::{ExplainSink, WireConfig, WireServer};
 
 /// The names most callers want in scope.
 pub mod prelude {
     pub use crate::client::{PendingCall, PendingPlan, WireClient, WireError};
-    #[cfg(target_os = "linux")]
-    pub use crate::event_server::EventServer;
+    pub use crate::event_server::{EventServer, ExplainSink, WireConfig};
     pub use crate::frame::{
         Frame, FrameError, PlanRequest, PlanResponse, Request, Response, Status,
     };
     pub use crate::load::{LoadRequest, LoadSource};
     pub use crate::metrics::WireMetricsSnapshot;
-    pub use crate::server::{ExplainSink, WireConfig, WireServer};
 }

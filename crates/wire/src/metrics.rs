@@ -11,13 +11,13 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Live wire metrics, shared across the accept loop and every
-/// connection's reader/writer pair. All recording is lock-free.
+/// Live wire metrics, shared by the event loop and the service-worker
+/// completion observers. All recording is lock-free.
 #[derive(Debug, Default)]
 pub struct WireMetrics {
     /// Connections accepted.
     pub connections_opened: Counter,
-    /// Connections fully torn down (reader and writer exited).
+    /// Connections fully torn down.
     pub connections_closed: Counter,
     /// Request frames decoded.
     pub frames_in: Counter,
@@ -36,13 +36,11 @@ pub struct WireMetrics {
     /// Requests not admitted by the service (answered `Rejected` or
     /// `GoingAway` in-band).
     pub not_admitted: Counter,
-    /// Event-loop doorbell wakeups (eventfd reads). Always zero for the
-    /// threaded server. Responses ÷ wakeups is the completion-batching
-    /// factor.
+    /// Event-loop doorbell wakeups (eventfd reads). Responses ÷ wakeups
+    /// is the completion-batching factor.
     pub wakeups: Counter,
-    /// Vectored write calls issued by the event loop. Always zero for
-    /// the threaded server. Frames out ÷ batches is the write-coalescing
-    /// factor.
+    /// Vectored write calls issued by the event loop. Frames out ÷
+    /// batches is the write-coalescing factor.
     pub writev_batches: Counter,
     /// Highest per-connection in-flight depth observed.
     peak_inflight: AtomicU64,
@@ -105,9 +103,9 @@ pub struct WireMetricsSnapshot {
     pub bad_requests: u64,
     /// Admission refusals answered in-band.
     pub not_admitted: u64,
-    /// Event-loop doorbell wakeups (zero on the threaded server).
+    /// Event-loop doorbell wakeups.
     pub wakeups: u64,
-    /// Vectored write calls (zero on the threaded server).
+    /// Vectored write calls.
     pub writev_batches: u64,
     /// Highest per-connection in-flight depth observed.
     pub peak_inflight: u64,

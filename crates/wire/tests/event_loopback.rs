@@ -1,10 +1,8 @@
-//! The loopback suite, run against the event-driven [`EventServer`]:
-//! the same wire contract the threaded server passes — pipelining,
-//! in-flight caps, in-band errors, protocol-error kills, idle reaping,
-//! graceful drain, v1 interop, explain span chains, deadlines — must
-//! hold byte-for-byte on the epoll loop.
-
-#![cfg(target_os = "linux")]
+//! The loopback suite for the [`EventServer`]: real sockets, real
+//! threads, one process. The wire contract — pipelining, in-flight
+//! caps, in-band errors, protocol-error kills, idle reaping, graceful
+//! drain, v1 interop, explain span chains, deadlines — must hold
+//! byte-for-byte on the epoll loop.
 
 use forensic_law::spec::ActionSpec;
 use service::prelude::*;

@@ -254,7 +254,6 @@ fn oversized_prefix_fails_on_the_fourth_byte_at_every_split() {
 /// explain-flagged frames, dribbled to the socket in 7-byte chunks so
 /// the server's readiness loop sees every partial-read shape. Every
 /// request must be answered in its own protocol version.
-#[cfg(target_os = "linux")]
 #[test]
 fn mixed_version_dribbled_pipeline_is_answered_in_kind_by_the_event_server() {
     use service::prelude::*;

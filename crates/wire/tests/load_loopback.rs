@@ -85,14 +85,14 @@ impl LoadSource for ScriptedSource {
     }
 }
 
-fn start_server() -> (Arc<ComplianceService>, WireServer) {
+fn start_server() -> (Arc<ComplianceService>, EventServer) {
     let service = Arc::new(ComplianceService::start(ServiceConfig {
         workers: 2,
         capacity: 256,
         policy: AdmissionPolicy::Block,
         ..ServiceConfig::default()
     }));
-    let server = WireServer::start("127.0.0.1:0", Arc::clone(&service), WireConfig::default())
+    let server = EventServer::start("127.0.0.1:0", Arc::clone(&service), WireConfig::default())
         .expect("bind loopback");
     (service, server)
 }
@@ -123,27 +123,6 @@ fn drive_honors_due_times() {
     );
     assert!(wall >= Duration::from_millis(60));
     assert_eq!(source.completed.len(), 8);
-    server.shutdown();
-    if let Ok(service) = Arc::try_unwrap(service) {
-        service.shutdown();
-    }
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn drive_against_event_server_matches() {
-    let service = Arc::new(ComplianceService::start(ServiceConfig {
-        workers: 2,
-        capacity: 256,
-        policy: AdmissionPolicy::Block,
-        ..ServiceConfig::default()
-    }));
-    let server = EventServer::start("127.0.0.1:0", Arc::clone(&service), WireConfig::default())
-        .expect("bind loopback");
-    let (connections, per_conn) = (8, 25);
-    let mut source = ScriptedSource::new(connections, per_conn, 0);
-    load::drive(server.local_addr(), connections, 16, &mut source).expect("drive");
-    assert_eq!(source.completed.len(), connections * per_conn);
     server.shutdown();
     if let Ok(service) = Arc::try_unwrap(service) {
         service.shutdown();

@@ -1,6 +1,6 @@
 //! Mixed-version loopback for the v3 planning frames: v1, v2, and v3
-//! requests interleaved on one live connection, against the threaded
-//! server AND (on Linux) the epoll event server.
+//! requests interleaved on one live connection to the epoll event
+//! server.
 //!
 //! The versioning contract under test: pre-v3 clients are untouched —
 //! v1 and v2 frames keep their exact byte layouts and response
@@ -130,21 +130,6 @@ fn exercise_mixed_versions(addr: SocketAddr) {
     assert_eq!(response.status, Status::Ok, "v3 traffic broke a v1 call");
 }
 
-#[test]
-fn threaded_server_answers_v1_v2_v3_interleaved() {
-    let service = start_service();
-    let server = WireServer::start("127.0.0.1:0", Arc::clone(&service), WireConfig::default())
-        .expect("bind loopback");
-    exercise_mixed_versions(server.local_addr());
-    let metrics = server.shutdown();
-    assert_eq!(metrics.frames_in, 6);
-    assert_eq!(metrics.frames_out, 6);
-    assert_eq!(metrics.protocol_errors, 0);
-    assert_eq!(metrics.bad_requests, 1, "exactly the malformed problem");
-    Arc::try_unwrap(service).expect("sole owner").shutdown();
-}
-
-#[cfg(target_os = "linux")]
 #[test]
 fn event_server_answers_v1_v2_v3_interleaved() {
     let service = start_service();

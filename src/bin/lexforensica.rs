@@ -1,7 +1,8 @@
 //! The `lexforensica` command-line tool: ask the compliance engine about
 //! an investigative action (one-off, in JSONL batches, or through the
 //! long-running bounded-queue service), list the Table 1 scenarios, or
-//! look up an authority in the casebook.
+//! look up an authority in the casebook. Linux-only, like the `wire`
+//! serving layer it links.
 //!
 //! ```console
 //! $ lexforensica table1
@@ -18,13 +19,14 @@ use lexforensica::journal::{
 use lexforensica::law::batch::BatchAssessor;
 use lexforensica::law::casebook::{all_citations, lookup};
 use lexforensica::law::prelude::*;
+use lexforensica::law::provenance::push_escaped;
 use lexforensica::law::scenarios::table1;
-use lexforensica::service::cli::Args;
-use lexforensica::service::prelude::*;
-use lexforensica::spec::{
+use lexforensica::law::spec::{
     parse_actor, parse_category, parse_jsonl, parse_location, parse_temporality, ActionSpec,
     LocatedError, SpecLine,
 };
+use lexforensica::service::cli::Args;
+use lexforensica::service::prelude::*;
 use lexforensica::wire::prelude::*;
 use std::collections::VecDeque;
 use std::path::Path;
@@ -69,8 +71,6 @@ fn usage() -> ExitCode {
         --workers N           worker threads (default: all cores)
         --capacity N          queue capacity (default 1024)
         --policy block|reject|drop-oldest             (default block)
-        --queue lockfree|locked  admission queue implementation
-                              (default lockfree: the MPMC ring)
         --deadline-ms D       per-request deadline in milliseconds
         --explain FILE        enable span tracing and write one JSONL
                               provenance record per scenario to FILE,
@@ -79,11 +79,8 @@ fn usage() -> ExitCode {
       and a metrics snapshot on stderr
   lexforensica serve --tcp ADDR [OPTIONS]
       expose the compliance service over TCP (the lexforensica-wire
-      framed protocol) instead of replaying a file; same service
-      options as above, plus:
-        --threaded            serve thread-per-connection instead of the
-                              default event-driven epoll loop (the
-                              default everywhere epoll is unavailable)
+      framed protocol, served by an epoll event loop) instead of
+      replaying a file; same service options as above, plus:
         --max-inflight N      pipelined requests per connection (default 64)
         --explain FILE        enable span tracing and log every answered
                               request's provenance record to FILE (JSONL)
@@ -299,20 +296,6 @@ fn parse_lines(input: &[u8]) -> (Vec<SpecLine>, u64) {
     (batch.lines, batch.errors.len() as u64)
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Opens the `--explain FILE` provenance sink, when requested.
 fn explain_file(args: &Args) -> Result<Option<std::io::BufWriter<std::fs::File>>, ExitCode> {
     match args.get("explain") {
@@ -347,7 +330,7 @@ fn cmd_assess_batch(args: Args) -> ExitCode {
     // re-sorted into line order below, so the answers must be — and the
     // golden tests check they are — seed-independent.
     if seed != 0 {
-        lexforensica::netsim::rng::SimRng::seed_from(seed).shuffle(&mut parsed);
+        simcore::rng::SimRng::seed_from(seed).shuffle(&mut parsed);
     }
 
     let actions: Vec<_> = parsed.iter().map(|p| p.action.clone()).collect();
@@ -368,13 +351,13 @@ fn cmd_assess_batch(args: Args) -> ExitCode {
             // golden test pins exactly this.
             use std::io::Write as _;
             let trace = obs::TraceId::mint();
-            let record = format!(
-                r#"{{"trace":{trace},"line":{},"verdict":"{}","confidence":"{}","provenance":{}}}"#,
-                p.line,
-                json_escape(&assessment.verdict().to_string()),
-                json_escape(&assessment.confidence().to_string()),
-                assessment.provenance().to_json(),
-            );
+            let mut record = format!(r#"{{"trace":{trace},"line":{},"verdict":""#, p.line);
+            push_escaped(&mut record, &assessment.verdict().to_string());
+            record.push_str(r#"","confidence":""#);
+            push_escaped(&mut record, &assessment.confidence().to_string());
+            record.push_str(r#"","provenance":"#);
+            record.push_str(&assessment.provenance().to_json());
+            record.push('}');
             if let Err(e) = writeln!(out, "{record}") {
                 eprintln!("cannot write explain record: {e}");
                 return ExitCode::FAILURE;
@@ -756,8 +739,8 @@ fn cmd_replay(args: Args) -> ExitCode {
 
 /// The live-refire half of `replay`: every deterministic record (ok and
 /// bad-request) goes back on the wire against a `serve --tcp` server
-/// through the shared [`wire::load`] core — one epoll driver thread on
-/// Linux, whatever `--conns` says — paced by the journaled capture
+/// through the shared [`wire::load`] core — one epoll driver thread,
+/// whatever `--conns` says — paced by the journaled capture
 /// times, and every response is diffed against the journaled
 /// disposition. Load-dependent records (timeout, shed, rejected) are
 /// facts about the recorded run, not requests to repeat, and are
@@ -1025,74 +1008,13 @@ fn service_from_args(args: &Args) -> Option<ComplianceService> {
     let default_deadline = args
         .get("deadline-ms")
         .map(|_| Duration::from_millis(args.u64_flag("deadline-ms", 0)));
-    let queue = match args.get("queue") {
-        None => QueueKind::default(),
-        Some(word) => match QueueKind::parse(word) {
-            Some(kind) => kind,
-            None => {
-                eprintln!("unknown queue kind \"{word}\" (lockfree|locked)");
-                return None;
-            }
-        },
-    };
     Some(ComplianceService::start(ServiceConfig {
         workers,
         capacity,
         policy,
         default_deadline,
-        queue,
         engine_floor: Duration::ZERO,
     }))
-}
-
-/// The serving model behind `serve --tcp`: the event-driven epoll
-/// loop by default, the thread-per-connection server under
-/// `--threaded` (and everywhere epoll is unavailable).
-enum TcpServer {
-    Threaded(WireServer),
-    #[cfg(target_os = "linux")]
-    Event(EventServer),
-}
-
-impl TcpServer {
-    fn local_addr(&self) -> std::net::SocketAddr {
-        match self {
-            TcpServer::Threaded(s) => s.local_addr(),
-            #[cfg(target_os = "linux")]
-            TcpServer::Event(s) => s.local_addr(),
-        }
-    }
-
-    fn shutdown(self) -> WireMetricsSnapshot {
-        match self {
-            TcpServer::Threaded(s) => s.shutdown(),
-            #[cfg(target_os = "linux")]
-            TcpServer::Event(s) => s.shutdown().metrics,
-        }
-    }
-}
-
-#[cfg(target_os = "linux")]
-fn start_event_server(
-    addr: &str,
-    service: &Arc<ComplianceService>,
-    config: WireConfig,
-    explain: Option<Arc<ExplainSink>>,
-    journal: Option<Arc<Journal>>,
-) -> std::io::Result<TcpServer> {
-    EventServer::start_with_sinks(addr, Arc::clone(service), config, explain, journal)
-        .map(TcpServer::Event)
-}
-
-#[cfg(not(target_os = "linux"))]
-fn start_event_server(
-    _addr: &str,
-    _service: &Arc<ComplianceService>,
-    _config: WireConfig,
-    _explain: Option<Arc<ExplainSink>>,
-    _journal: Option<Arc<Journal>>,
-) -> std::io::Result<TcpServer> {
-    unreachable!("--threaded is forced where epoll is unavailable")
 }
 
 /// `serve --tcp ADDR`: expose the service over the wire protocol until
@@ -1127,16 +1049,13 @@ fn cmd_serve_tcp(args: &Args) -> ExitCode {
             Err(code) => return code,
         },
     };
-    // Epoll readiness loop by default; thread-per-connection with
-    // `--threaded` (and always where epoll does not exist).
-    let threaded = args.get("threaded").is_some() || !cfg!(target_os = "linux");
-    let started = if threaded {
-        WireServer::start_with_sinks(addr, Arc::clone(&service), config, explain, journal.clone())
-            .map(TcpServer::Threaded)
-    } else {
-        start_event_server(addr, &service, config, explain, journal.clone())
-    };
-    let server = match started {
+    let server = match EventServer::start_with_sinks(
+        addr,
+        Arc::clone(&service),
+        config,
+        explain,
+        journal.clone(),
+    ) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("cannot bind {addr}: {e}");
@@ -1146,22 +1065,19 @@ fn cmd_serve_tcp(args: &Args) -> ExitCode {
     // The contract scripts rely on: address first on stderr (alone on
     // its line), stdin EOF stops.
     eprintln!("listening on {}", server.local_addr());
-    eprintln!(
-        "serving model: {}",
-        if threaded { "threaded" } else { "epoll" }
-    );
+    eprintln!("serving model: epoll");
 
     let mut sink = Vec::new();
     use std::io::Read as _;
     let _ = std::io::stdin().read_to_end(&mut sink);
 
     eprintln!("stdin closed; draining");
-    let wire_finals = server.shutdown();
+    let wire_finals = server.shutdown().metrics;
     eprintln!("wire metrics: {}", wire_finals.to_json());
     let mut journal_failed = false;
     if let Some(journal) = journal {
-        // All connection threads are joined, so this Arc is the last
-        // handle and close() sees every append the server issued.
+        // The event loop is joined, so this Arc is the last handle and
+        // close() sees every append the server issued.
         match Arc::try_unwrap(journal) {
             Ok(journal) => {
                 if let Err(e) = journal.close() {
@@ -1178,8 +1094,8 @@ fn cmd_serve_tcp(args: &Args) -> ExitCode {
         }
     }
     let Ok(service) = Arc::try_unwrap(service) else {
-        // Every server thread has been joined, so this handle is the
-        // last one; if not, report rather than hang.
+        // The event loop has been joined, so this handle is the last
+        // one; if not, report rather than hang.
         eprintln!("service handle still shared after drain");
         return ExitCode::FAILURE;
     };
@@ -1332,7 +1248,6 @@ fn cmd_serve(args: Args) -> ExitCode {
         policy,
         default_deadline,
         engine_floor: Duration::ZERO,
-        ..ServiceConfig::default()
     });
     let start = Instant::now();
 
@@ -1425,15 +1340,7 @@ fn main() -> ExitCode {
         Some("assess") => cmd_assess(&args[1..]),
         Some("assess-batch") => cmd_assess_batch(Args::parse_from(args[1..].iter().cloned())),
         Some("assess-remote") => cmd_assess_remote(Args::parse_from(args[1..].iter().cloned())),
-        // `--threaded` is a bare switch; the Args parser only knows
-        // `--flag VALUE` pairs, so give it a value before parsing.
-        Some("serve") => cmd_serve(Args::parse_from(args[1..].iter().map(|a| {
-            if a == "--threaded" {
-                "--threaded=true".to_string()
-            } else {
-                a.clone()
-            }
-        }))),
+        Some("serve") => cmd_serve(Args::parse_from(args[1..].iter().cloned())),
         Some("journal") => cmd_journal(Args::parse_from(args[1..].iter().cloned())),
         Some("plan") => cmd_plan(Args::parse_from(args[1..].iter().cloned())),
         // `--verify` is a bare switch; the Args parser only knows

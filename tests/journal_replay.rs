@@ -1,6 +1,6 @@
 //! E2e replay differential for the durable request journal: a live
 //! `serve --tcp`-equivalent wire session is journaled through
-//! [`WireServer::start_with_sinks`], then the journal is replayed
+//! [`EventServer::start_with_sinks`], then the journal is replayed
 //! through the in-process [`BatchAssessor`] and every verdict must match
 //! the journaled bytes byte-for-byte — the replay-driven regression
 //! oracle from DESIGN.md §10 exercised at workspace level. A second
@@ -11,7 +11,7 @@
 use journal::{read_all, Journal, JournalConfig, Mode, SyncPolicy};
 use lexforensica::law::batch::BatchAssessor;
 use lexforensica::law::prelude::*;
-use lexforensica::spec::parse_jsonl;
+use lexforensica::law::spec::parse_jsonl;
 use service::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
@@ -93,7 +93,7 @@ fn journaled_wire_session_replays_byte_identical_to_assess_batch() {
         policy: AdmissionPolicy::Block,
         ..ServiceConfig::default()
     }));
-    let server = WireServer::start_with_sinks(
+    let server = EventServer::start_with_sinks(
         "127.0.0.1:0",
         Arc::clone(&service),
         WireConfig::default(),
@@ -140,7 +140,7 @@ fn journaled_wire_session_replays_byte_identical_to_assess_batch() {
         }
     });
 
-    let metrics = server.shutdown();
+    let metrics = server.shutdown().metrics;
     let total = (CONNECTIONS * PER_CONNECTION) as u64;
     assert_eq!(metrics.frames_in, total);
     assert_eq!(metrics.frames_out, total);
@@ -248,7 +248,7 @@ fn graceful_drain_journals_every_acknowledged_response() {
         engine_floor: Duration::from_millis(1),
         ..ServiceConfig::default()
     }));
-    let server = WireServer::start_with_sinks(
+    let server = EventServer::start_with_sinks(
         "127.0.0.1:0",
         Arc::clone(&service),
         WireConfig {
@@ -310,7 +310,7 @@ fn graceful_drain_journals_every_acknowledged_response() {
         // All clients are mid-blast when the drain lands.
         start.wait();
         std::thread::sleep(Duration::from_millis(10));
-        let metrics = server.shutdown();
+        let metrics = server.shutdown().metrics;
         for client in clients {
             client.join().expect("client thread");
         }

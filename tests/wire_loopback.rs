@@ -6,64 +6,15 @@
 
 use lexforensica::law::batch::BatchAssessor;
 use lexforensica::law::prelude::*;
-use lexforensica::spec::parse_jsonl;
+use lexforensica::law::spec::parse_jsonl;
 use service::prelude::*;
 use std::collections::HashSet;
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 use wire::frame::{self, Frame, Request};
 use wire::prelude::*;
-
-/// Either serving model behind one handle, so the acceptance tests in
-/// this file run identically against the threaded server and the
-/// event-driven epoll server.
-enum AnyServer {
-    Threaded(WireServer),
-    #[cfg(target_os = "linux")]
-    Event(EventServer),
-}
-
-/// Which serving model to start.
-#[derive(Clone, Copy)]
-enum ServerKind {
-    Threaded,
-    #[cfg(target_os = "linux")]
-    Event,
-}
-
-impl AnyServer {
-    fn start(kind: ServerKind, service: &Arc<ComplianceService>, config: WireConfig) -> AnyServer {
-        match kind {
-            ServerKind::Threaded => AnyServer::Threaded(
-                WireServer::start("127.0.0.1:0", Arc::clone(service), config)
-                    .expect("bind loopback"),
-            ),
-            #[cfg(target_os = "linux")]
-            ServerKind::Event => AnyServer::Event(
-                EventServer::start("127.0.0.1:0", Arc::clone(service), config)
-                    .expect("bind loopback"),
-            ),
-        }
-    }
-
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            AnyServer::Threaded(s) => s.local_addr(),
-            #[cfg(target_os = "linux")]
-            AnyServer::Event(s) => s.local_addr(),
-        }
-    }
-
-    fn shutdown(self) -> WireMetricsSnapshot {
-        match self {
-            AnyServer::Threaded(s) => s.shutdown(),
-            #[cfg(target_os = "linux")]
-            AnyServer::Event(s) => s.shutdown().metrics,
-        }
-    }
-}
 
 /// The same JSONL vocabulary the CLI fixtures use.
 const LINES: &[&str] = &[
@@ -98,7 +49,8 @@ fn batch_verdicts() -> Vec<String> {
 /// ≥ 8 concurrent connections, each pipelining its whole request stream
 /// before reaping a single response, must produce verdicts byte-identical
 /// to the in-process `BatchAssessor` on the same lines.
-fn pipelined_connections_match_assess_batch(kind: ServerKind) {
+#[test]
+fn eight_pipelined_connections_match_assess_batch_on_the_event_server() {
     const CONNECTIONS: usize = 8;
     const PER_CONNECTION: usize = 32;
 
@@ -109,7 +61,8 @@ fn pipelined_connections_match_assess_batch(kind: ServerKind) {
         policy: AdmissionPolicy::Block,
         ..ServiceConfig::default()
     }));
-    let server = AnyServer::start(kind, &service, WireConfig::default());
+    let server = EventServer::start("127.0.0.1:0", Arc::clone(&service), WireConfig::default())
+        .expect("bind loopback");
     let addr = server.local_addr();
 
     std::thread::scope(|scope| {
@@ -138,7 +91,7 @@ fn pipelined_connections_match_assess_batch(kind: ServerKind) {
         }
     });
 
-    let metrics = server.shutdown();
+    let metrics = server.shutdown().metrics;
     let total = (CONNECTIONS * PER_CONNECTION) as u64;
     assert_eq!(metrics.frames_in, total);
     assert_eq!(metrics.frames_out, total);
@@ -151,35 +104,14 @@ fn pipelined_connections_match_assess_batch(kind: ServerKind) {
     );
 }
 
-#[test]
-fn mid_load_graceful_shutdown_loses_and_duplicates_nothing() {
-    mid_load_graceful_shutdown_accounting(ServerKind::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn mid_load_graceful_shutdown_accounting_holds_on_the_event_server() {
-    mid_load_graceful_shutdown_accounting(ServerKind::Event);
-}
-
-#[test]
-fn eight_pipelined_connections_match_assess_batch_byte_for_byte() {
-    pipelined_connections_match_assess_batch(ServerKind::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn eight_pipelined_connections_match_assess_batch_on_the_event_server() {
-    pipelined_connections_match_assess_batch(ServerKind::Event);
-}
-
 /// Forced mid-load graceful shutdown: raw-frame clients (globally unique
 /// ids) blast requests while the server drains. Every response id must
 /// arrive exactly once somewhere, the server's frames_in/frames_out books
 /// must equal the count of responses actually delivered (nothing decoded
 /// was lost, nothing answered twice), and every connection must end in
 /// FIN — never a reset that destroys data.
-fn mid_load_graceful_shutdown_accounting(kind: ServerKind) {
+#[test]
+fn mid_load_graceful_shutdown_accounting_holds_on_the_event_server() {
     const CONNECTIONS: usize = 8;
     const PER_CONNECTION: u64 = 50;
 
@@ -190,14 +122,15 @@ fn mid_load_graceful_shutdown_accounting(kind: ServerKind) {
         engine_floor: Duration::from_millis(1),
         ..ServiceConfig::default()
     }));
-    let server = AnyServer::start(
-        kind,
-        &service,
+    let server = EventServer::start(
+        "127.0.0.1:0",
+        Arc::clone(&service),
         WireConfig {
             read_tick: Duration::from_millis(5),
             ..WireConfig::default()
         },
-    );
+    )
+    .expect("bind loopback");
     let addr = server.local_addr();
 
     let start = Arc::new(Barrier::new(CONNECTIONS + 1));
@@ -245,7 +178,7 @@ fn mid_load_graceful_shutdown_accounting(kind: ServerKind) {
         // All clients are mid-blast when the drain lands.
         start.wait();
         std::thread::sleep(Duration::from_millis(10));
-        let metrics = server.shutdown();
+        let metrics = server.shutdown().metrics;
         for client in clients {
             client.join().expect("client thread");
         }
