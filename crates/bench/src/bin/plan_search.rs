@@ -9,12 +9,13 @@
 //! The state space is a subset lattice — every extra same-rung item
 //! roughly doubles the reachable frontier — so the interesting pair of
 //! curves is nodes-expanded (exponential by design) against
-//! nodes-expanded/s (which should stay flat: per-expansion work is one
-//! batched, cache-amortized engine call). Each sweep point solves a
-//! synthetic problem drawn from the Table 1 scenario space on a fresh
-//! planner (cold cache); a final phase re-solves the largest problem at
-//! 1, 2, and 8 assessor threads and asserts byte-identical plans, then
-//! once more on a warmed planner to pin full cache amortization.
+//! nodes-expanded/s (which should stay flat: a solve assesses its
+//! candidates in one batched call up front, and an expansion only reads
+//! that verdict table). Each sweep point solves a synthetic problem
+//! drawn from the Table 1 scenario space on a fresh planner (cold
+//! cache); a final phase re-solves the largest problem at 1, 2, and 8
+//! assessor threads and asserts byte-identical plans, then once more on
+//! a warmed planner to pin full cache amortization.
 //! Everything lands under the `plan_search` key in
 //! `BENCH_results.json`.
 
@@ -129,8 +130,9 @@ fn main() {
         let text = problem_text(items);
         let problem = parse_problem(text.as_bytes()).expect("synthetic problem parses");
         let goals = text.matches("\"goal\"").count();
-        // Fresh planner per point: every solve starts cache-cold, so
-        // the hit rate below is the *intra-search* amortization.
+        // Fresh planner per point: every solve starts cache-cold, and
+        // looks each candidate up once, so the hit rate below is the
+        // share of candidates repeating an earlier fact pattern.
         let planner = Planner::with_threads(threads);
         let outcome = planner.solve(&problem).expect("synthetic problem solves");
         let stats = outcome.stats().clone();

@@ -34,21 +34,20 @@
 //!
 //! ## The search
 //!
-//! [`Planner::solve`] runs Dijkstra over this graph. At every node
-//! expansion the candidate collect actions for all still-missing items
-//! are projected through [`FactKey`](forensic_law::factkey::FactKey)
-//! and evaluated with **one** [`BatchAssessor`](
-//! forensic_law::batch::BatchAssessor) call — batched across the
-//! frontier, multi-threaded, and answered from the shared
-//! [`VerdictCache`](forensic_law::batch::VerdictCache) after the first
-//! expansion touches a pattern (verdicts depend only on the fact
-//! pattern, never on the search state, so the cache hit rate climbs
-//! toward 1 as the search proceeds). The result is either the provably
-//! cheapest lawful [`Plan`] — every step carrying its verdict line and
-//! the per-verdict provenance record, a court-ready justification — or
-//! a [`NoLawfulPath`] explanation naming, for each unreachable goal,
-//! the blocking rule and the showing the reachable evidence tops out
-//! at.
+//! [`Planner::solve`] runs Dijkstra over this graph. Verdicts depend
+//! only on the fact pattern, never on the search state, so before the
+//! search starts every item's candidate collect actions are projected
+//! through [`FactKey`](forensic_law::factkey::FactKey) and evaluated
+//! with **one** [`BatchAssessor`](forensic_law::batch::BatchAssessor)
+//! call through the shared
+//! [`VerdictCache`](forensic_law::batch::VerdictCache); every node
+//! expansion then reads that table, so each pattern is looked up once
+//! per solve whatever the size of the search. The result is either the
+//! provably cheapest lawful [`Plan`] — every step carrying its verdict
+//! line and the per-verdict provenance record, a court-ready
+//! justification — or a [`NoLawfulPath`] explanation naming, for each
+//! unreachable goal, the blocking rule and the showing the reachable
+//! evidence tops out at.
 //!
 //! Determinism is part of the contract: ties in the priority queue are
 //! broken by packed state key, edges are relaxed in a fixed order, and

@@ -4,12 +4,11 @@
 //! process held)`, packed into a `u64` key. Edge costs come from the
 //! problem's [`CostModel`](crate::problem::CostModel) and are
 //! non-negative, so the first time a goal-covering state is popped its
-//! cost is provably minimal. Candidate collections for the whole
-//! frontier of missing items are assessed with one
-//! [`BatchAssessor`] call per expansion; verdicts depend only on the
-//! fact pattern, so after the first expansion the shared
-//! [`VerdictCache`](forensic_law::batch::VerdictCache) answers nearly
-//! every lookup.
+//! cost is provably minimal. Verdicts depend only on the fact pattern,
+//! never on the search state, so every item's candidate collections
+//! are assessed once, in one [`BatchAssessor`] call before the search
+//! starts; each expansion (and the no-lawful-path explanation) reads
+//! that table instead of calling the assessor again.
 //!
 //! Determinism: the heap orders by `(cost, packed key)`, edges are
 //! relaxed in a fixed order (process ladder, then items in declaration
@@ -34,9 +33,10 @@ use std::time::{Duration, Instant};
 pub struct SearchStats {
     /// States popped and expanded (goal pops are not expansions).
     pub nodes_expanded: u64,
-    /// Candidate collect actions handed to the batch assessor.
+    /// Candidate collect actions handed to the batch assessor: every
+    /// variant of every item, once per solve.
     pub candidates_evaluated: u64,
-    /// Batched [`BatchAssessor::assess_all`] calls made.
+    /// Batched [`BatchAssessor::assess_all`] calls made: one per solve.
     pub batch_calls: u64,
     /// Verdict-cache hits attributable to this solve.
     pub cache_hits: u64,
@@ -192,10 +192,24 @@ impl Planner {
         let cache_before = self.assessor.cache().stats();
         let mut stats = SearchStats::default();
 
-        let mut variants: Vec<Vec<CollectVariant>> = Vec::with_capacity(problem.items.len());
+        // Every item's candidate collections in one flat list — item `i`
+        // owns `offsets[i]..offsets[i + 1]` — assessed with ONE batched
+        // call. Verdicts are state-independent, so this table answers
+        // every expansion.
+        let mut actions: Vec<InvestigativeAction> = Vec::new();
+        let mut routes: Vec<Option<String>> = Vec::new();
+        let mut offsets = Vec::with_capacity(problem.items.len() + 1);
+        offsets.push(0);
         for item in &problem.items {
-            variants.push(item.variants(&problem.routes)?);
+            for CollectVariant { route, action } in item.variants(&problem.routes)? {
+                actions.push(action);
+                routes.push(route);
+            }
+            offsets.push(actions.len());
         }
+        stats.batch_calls = 1;
+        stats.candidates_evaluated = actions.len() as u64;
+        let assessments = self.assessor.assess_all(&actions);
         let goal_mask = problem.goal_mask();
 
         let start = State {
@@ -230,29 +244,6 @@ impl Planner {
             }
             stats.nodes_expanded += 1;
 
-            // Every candidate collection for every still-missing item,
-            // evaluated with ONE batched call. Verdicts are
-            // state-independent, so after the first expansion these are
-            // near-pure cache hits.
-            let mut actions: Vec<InvestigativeAction> = Vec::new();
-            let mut owners: Vec<(usize, usize)> = Vec::new();
-            for (i, item_variants) in variants.iter().enumerate() {
-                if state.mask & (1 << i) != 0 {
-                    continue;
-                }
-                for (v, variant) in item_variants.iter().enumerate() {
-                    actions.push(variant.action.clone());
-                    owners.push((i, v));
-                }
-            }
-            let assessments = if actions.is_empty() {
-                Vec::new()
-            } else {
-                stats.batch_calls += 1;
-                stats.candidates_evaluated += actions.len() as u64;
-                self.assessor.assess_all(&actions)
-            };
-
             // Apply edges: climb to any stronger instrument the current
             // showing suffices for.
             for next in LegalProcess::ALL {
@@ -279,43 +270,49 @@ impl Planner {
                 );
             }
 
-            // Collect edges, in (item, variant) declaration order.
-            for ((i, v), assessment) in owners.iter().zip(&assessments) {
-                if !assessment.is_lawful_with(state.process) {
+            // Collect edges for every still-missing item, in (item,
+            // variant) declaration order.
+            for (i, item) in problem.items.iter().enumerate() {
+                if state.mask & (1 << i) != 0 {
                     continue;
                 }
-                let item = &problem.items[*i];
-                let variant = &variants[*i][*v];
-                let step_cost = problem.costs.collect
-                    + if variant.route.is_some() {
-                        problem.costs.route
-                    } else {
-                        0
-                    };
                 let standard = if standard_index(item.yields) > standard_index(state.standard) {
                     item.yields
                 } else {
                     state.standard
                 };
-                relax(
-                    &mut nodes,
-                    &mut heap,
-                    key,
-                    cost + step_cost,
-                    State {
-                        mask: state.mask | (1 << i),
-                        standard,
-                        process: state.process,
-                    },
-                    PlanStep::Collect {
-                        item: item.name.clone(),
-                        route: variant.route.clone(),
-                        held: state.process,
-                        yields: item.yields,
-                        cost: step_cost,
-                        assessment: assessment.clone(),
-                    },
-                );
+                for v in offsets[i]..offsets[i + 1] {
+                    let assessment = &assessments[v];
+                    if !assessment.is_lawful_with(state.process) {
+                        continue;
+                    }
+                    let route = &routes[v];
+                    let step_cost = problem.costs.collect
+                        + if route.is_some() {
+                            problem.costs.route
+                        } else {
+                            0
+                        };
+                    relax(
+                        &mut nodes,
+                        &mut heap,
+                        key,
+                        cost + step_cost,
+                        State {
+                            mask: state.mask | (1 << i),
+                            standard,
+                            process: state.process,
+                        },
+                        PlanStep::Collect {
+                            item: item.name.clone(),
+                            route: route.clone(),
+                            held: state.process,
+                            yields: item.yields,
+                            cost: step_cost,
+                            assessment: assessment.clone(),
+                        },
+                    );
+                }
             }
         }
 
@@ -373,29 +370,10 @@ impl Planner {
             "search exhausted but every goal bit is reachable"
         );
 
-        // Re-assess the blocked items' variants (one batched call, all
-        // cache hits — the first expansion already evaluated them) and
-        // explain each via its closest-to-lawful variant.
-        let mut blocker_actions: Vec<InvestigativeAction> = Vec::new();
-        for &i in &blocked {
-            for variant in &variants[i] {
-                blocker_actions.push(variant.action.clone());
-            }
-        }
-        let blocker_assessments = if blocker_actions.is_empty() {
-            Vec::new()
-        } else {
-            stats.batch_calls += 1;
-            stats.candidates_evaluated += blocker_actions.len() as u64;
-            self.assessor.assess_all(&blocker_actions)
-        };
+        // Explain each blocked item via its closest-to-lawful variant.
         let mut blockers = Vec::with_capacity(blocked.len());
-        let mut offset = 0;
         for &i in &blocked {
-            let count = variants[i].len();
-            let slice = &blocker_assessments[offset..offset + count];
-            offset += count;
-            let assessment = slice
+            let assessment = assessments[offsets[i]..offsets[i + 1]]
                 .iter()
                 .min_by_key(|a| demand_rank(a.verdict()))
                 .expect("items always have the base variant")
@@ -480,7 +458,7 @@ mod tests {
         assert_eq!(plan.steps.len(), 2);
         assert_eq!(plan.total_cost, 11);
         assert_eq!(plan.final_process, LegalProcess::Subpoena);
-        assert!(plan.stats.batch_calls >= 1);
+        assert_eq!(plan.stats.batch_calls, 1);
     }
 
     #[test]

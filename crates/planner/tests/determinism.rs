@@ -1,13 +1,15 @@
 //! The determinism contract: the emitted plan bytes are identical at
 //! any assessor thread count, on both plan and no-lawful-path
-//! outcomes. This is the suite the nightly ThreadSanitizer workflow
-//! runs against the planner.
+//! outcomes, and a solve's engine work is fixed by the problem alone.
+//! This is the suite the nightly ThreadSanitizer workflow runs against
+//! the planner.
 
+use forensic_law::factkey::FactKey;
 use planner::{parse_problem, Planner};
+use std::collections::HashSet;
 
 /// An 8-item problem mixing goals, leads, routes, and both engine
-/// verdict families, so the search exercises batching at every
-/// expansion.
+/// verdict families, so the search reads verdicts at every expansion.
 const PROBLEM: &[u8] = br#"
 {"start": {"standard": "mere-suspicion"}}
 {"routes": ["consent", "exigent"]}
@@ -73,4 +75,32 @@ fn repeated_solves_on_one_planner_are_stable_and_cache_amortized() {
     // lookup hits.
     assert_eq!(second.stats().cache_misses, 0);
     assert!(second.stats().cache_hit_rate() > 0.99);
+}
+
+/// A solve assesses each candidate once, in one batched call, however
+/// many states it expands: the work is a function of the problem, on
+/// both outcomes and at any thread count.
+#[test]
+fn a_solve_assesses_each_candidate_once_in_one_batch() {
+    for text in [SOLVABLE, PROBLEM] {
+        let problem = parse_problem(text).expect("problem parses");
+        let keys: Vec<FactKey> = problem
+            .items
+            .iter()
+            .flat_map(|item| item.variants(&problem.routes).expect("variants build"))
+            .map(|variant| FactKey::of(&variant.action))
+            .collect();
+        let distinct = keys.iter().collect::<HashSet<_>>().len() as u64;
+        for threads in [1, 2, 8] {
+            let outcome = Planner::with_threads(threads)
+                .solve(&problem)
+                .expect("solves");
+            let stats = outcome.stats();
+            assert!(stats.nodes_expanded > 1, "{stats:?}");
+            assert_eq!(stats.batch_calls, 1, "{stats:?}");
+            assert_eq!(stats.candidates_evaluated, keys.len() as u64, "{stats:?}");
+            assert_eq!(stats.cache_misses, distinct, "{stats:?}");
+            assert_eq!(stats.cache_hits, keys.len() as u64 - distinct, "{stats:?}");
+        }
+    }
 }
