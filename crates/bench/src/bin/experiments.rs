@@ -1,18 +1,16 @@
 //! Parallel trial-runner scaling driver: the ROC/experiment evaluation
 //! suite run on a sequential baseline vs a multi-worker
 //! [`trials::TrialRunner`], plus the DSSS detector fast path vs its
-//! retained naive reference — with every measurement written to
-//! `BENCH_results.json` so the perf trajectory is tracked across PRs.
+//! retained naive reference.
 //!
 //! ```console
 //! $ cargo run --release --bin experiments -- --trials 16 --threads 8 --seed 48879
 //! ```
 //!
 //! Every workload asserts that the parallel outcomes are identical to the
-//! sequential ones before recording a speedup: the runner's determinism
+//! sequential ones before printing a speedup: the runner's determinism
 //! contract means worker count may only ever change the wall clock.
 
-use bench::results::{self, Json};
 use p2psim::experiment::{run_experiments_on, ExperimentConfig};
 use service::cli::Args;
 use std::time::Instant;
@@ -170,38 +168,4 @@ fn main() {
         "detect_sync_search", ref_ms, fast_ms, det_speedup, reps
     );
     bench::rule(74);
-
-    let entries: Vec<Json> = rows
-        .iter()
-        .map(|row| {
-            Json::obj()
-                .set("name", row.name)
-                .set("trials", trials)
-                .set("wall_ms_sequential", row.seq_ms)
-                .set("wall_ms_parallel", row.par_ms)
-                .set("speedup", row.speedup())
-                .set("identical", row.identical)
-        })
-        .chain(std::iter::once(
-            Json::obj()
-                .set("name", "detect_sync_search")
-                .set("trials", reps as u64)
-                .set("wall_ms_reference", ref_ms)
-                .set("wall_ms_fast", fast_ms)
-                .set("speedup", det_speedup)
-                .set("identical", true),
-        ))
-        .collect();
-    let section = Json::obj()
-        .set("name", "experiments")
-        .set(
-            "config",
-            Json::obj()
-                .set("trials", trials)
-                .set("threads", threads)
-                .set("seed", seed),
-        )
-        .set("entries", Json::Arr(entries));
-    results::record("experiments", section).expect("write BENCH_results.json");
-    println!("wrote {}", results::RESULTS_FILE);
 }

@@ -16,10 +16,7 @@
 //! cache); a final phase re-solves the largest problem at 1, 2, and 8
 //! assessor threads and asserts byte-identical plans, then once more on
 //! a warmed planner to pin full cache amortization.
-//! Everything lands under the `plan_search` key in
-//! `BENCH_results.json`.
 
-use bench::results::{self, Json};
 use planner::{parse_problem, PlanOutcome, Planner};
 use service::cli::Args;
 use std::fmt::Write as _;
@@ -125,7 +122,6 @@ fn main() {
     );
     bench::rule(94);
 
-    let mut points = Vec::new();
     for items in item_axis(max_items) {
         let text = problem_text(items);
         let problem = parse_problem(text.as_bytes()).expect("synthetic problem parses");
@@ -153,20 +149,6 @@ fn main() {
             stats.cache_hit_rate() * 100.0,
             wall_ms,
             total_cost,
-        );
-        points.push(
-            Json::obj()
-                .set("items", items)
-                .set("goals", goals)
-                .set("nodes_expanded", stats.nodes_expanded)
-                .set("candidates_evaluated", stats.candidates_evaluated)
-                .set("batch_calls", stats.batch_calls)
-                .set("nodes_per_sec", stats.nodes_per_second())
-                .set("cache_hits", stats.cache_hits)
-                .set("cache_misses", stats.cache_misses)
-                .set("cache_hit_rate", stats.cache_hit_rate())
-                .set("wall_ms", wall_ms)
-                .set("total_cost", total_cost),
         );
     }
 
@@ -200,32 +182,4 @@ fn main() {
         warm_stats.cache_misses,
         warm_stats.cache_hit_rate() * 100.0
     );
-
-    results::record(
-        "plan_search",
-        Json::obj()
-            .set(
-                "config",
-                Json::obj().set("items", max_items).set("threads", threads),
-            )
-            .set("sweep", Json::Arr(points))
-            .set(
-                "determinism",
-                Json::obj()
-                    .set(
-                        "threads",
-                        Json::Arr(vec![1u64.into(), 2u64.into(), 8u64.into()]),
-                    )
-                    .set("identical", identical),
-            )
-            .set(
-                "warm_cache",
-                Json::obj()
-                    .set("hits", warm_stats.cache_hits)
-                    .set("misses", warm_stats.cache_misses)
-                    .set("hit_rate", warm_stats.cache_hit_rate()),
-            ),
-    )
-    .expect("write BENCH_results.json");
-    println!("recorded: plan_search section in {}", results::RESULTS_FILE);
 }

@@ -3,8 +3,7 @@
 //! it against a live in-process wire server through the shared
 //! [`wire::load`] core at max pacing, compact the journal down to its
 //! latest-wins survivors, and refire the compacted session — asserting
-//! zero divergences both times and a real compaction ratio. Records
-//! into `BENCH_results.json` under `replay_serve`.
+//! zero divergences both times and a real compaction ratio.
 //!
 //! ```console
 //! $ cargo run --release --bin replay_serve -- [OPTIONS]
@@ -25,11 +24,9 @@
 //! sprinkle of repeated malformed lines rides along to exercise the
 //! bad-request dedupe path over the wire.
 
-use bench::results::{self, Json};
 use forensic_law::batch::BatchAssessor;
-use forensic_law::factkey::FactKey;
-use forensic_law::spec::{parse_jsonl, ActionSpec};
-use journal::compact::{compact, Retention};
+use forensic_law::spec::parse_jsonl;
+use journal::compact::compact;
 use journal::{read_all, Journal, JournalConfig, Mode, Record, RecordData, SyncPolicy};
 use obs::TraceId;
 use service::cli::Args;
@@ -73,33 +70,6 @@ fn line_for(seed: u64, i: u64) -> String {
     } else {
         let template = TEMPLATES[(derive_seed(seed, i) % TEMPLATES.len() as u64) as usize];
         template.replace("<D>", &format!("occurrence {i}"))
-    }
-}
-
-/// The CLI `journal compact` retention policy, restated: verdicts
-/// supersede by fact-key, malformed requests by raw bytes; nothing here
-/// is load-dependent so nothing drops.
-fn classify(record: &Record) -> Retention {
-    let parsed = std::str::from_utf8(&record.request).ok().and_then(|line| {
-        ActionSpec::from_json_line(line)
-            .and_then(|s| s.to_action())
-            .ok()
-    });
-    match (Status::from_byte(record.status), parsed) {
-        (Some(Status::Ok), Some(action)) => {
-            let mut key = Vec::with_capacity(9);
-            key.push(0x01);
-            key.extend_from_slice(&FactKey::of(&action).bits().to_be_bytes());
-            Retention::Supersede(key)
-        }
-        (Some(Status::Ok), None) => Retention::Keep,
-        (Some(Status::BadRequest), _) => {
-            let mut key = Vec::with_capacity(1 + record.request.len());
-            key.push(0x02);
-            key.extend_from_slice(&record.request);
-            Retention::Supersede(key)
-        }
-        _ => Retention::Drop,
     }
 }
 
@@ -300,7 +270,8 @@ fn main() {
 
     // Phase 3: compact — the superseding workload must collapse.
     let compact_start = Instant::now();
-    let report = compact(&dir, JournalConfig::default(), classify).expect("compact");
+    let report =
+        compact(&dir, JournalConfig::default(), wire::compaction_retention).expect("compact");
     let compact_wall = compact_start.elapsed();
     let ratio = report.ratio();
     println!(
@@ -333,57 +304,6 @@ fn main() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
     bench::rule(76);
 
-    let section = Json::obj()
-        .set("name", "replay_serve")
-        .set(
-            "config",
-            Json::obj()
-                .set("records", records)
-                .set("connections", connections)
-                .set("pipeline", pipeline)
-                .set("segment_kb", segment_kb)
-                .set("workers", workers)
-                .set("threads", threads)
-                .set("seed", seed),
-        )
-        .set(
-            "journal_write",
-            Json::obj()
-                .set("wall_ms", write_wall.as_secs_f64() * 1e3)
-                .set("records_per_s", records as f64 / write_wall.as_secs_f64())
-                .set("ok_records", journaled_ok)
-                .set("bad_records", journaled_bad)
-                .set("bytes", bytes_journaled),
-        )
-        .set(
-            "replay_live",
-            Json::obj()
-                .set("wall_ms", replay_wall.as_secs_f64() * 1e3)
-                .set("records_per_s", replay_rps)
-                .set("refired", refired)
-                .set("divergences", divergences),
-        )
-        .set(
-            "compaction",
-            Json::obj()
-                .set("wall_ms", compact_wall.as_secs_f64() * 1e3)
-                .set("input_records", report.input_records)
-                .set("surviving_records", report.surviving_records)
-                .set("superseded", report.superseded)
-                .set("bytes_before", report.bytes_before)
-                .set("bytes_after", report.bytes_after)
-                .set("ratio", ratio),
-        )
-        .set(
-            "replay_compacted",
-            Json::obj()
-                .set("wall_ms", cwall.as_secs_f64() * 1e3)
-                .set("records_per_s", crefired as f64 / cwall.as_secs_f64())
-                .set("refired", crefired)
-                .set("divergences", cdivergences),
-        );
-    results::record("replay_serve", section).expect("write BENCH_results.json");
-    println!("wrote {}", results::RESULTS_FILE);
     println!(
         "replayed {records} journaled records live with zero divergences; \
          compacted {:.1}x and replayed clean again",

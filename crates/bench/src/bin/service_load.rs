@@ -1,7 +1,6 @@
 //! Load driver for the `service` crate: deterministic open- and
 //! closed-loop traffic against the bounded-queue compliance service,
-//! recording throughput/latency/shed-rate curves into
-//! `BENCH_results.json`.
+//! printing throughput/latency/shed-rate curves.
 //!
 //! ```console
 //! $ cargo run --release --bin service_load -- [OPTIONS]
@@ -34,7 +33,6 @@
 //! every accepted request got exactly one response, and nothing was
 //! answered twice (double-fulfilment panics in the service itself).
 
-use bench::results::{self, Json};
 use forensic_law::prelude::*;
 use forensic_law::scenarios::table1;
 use service::cli::Args;
@@ -42,8 +40,8 @@ use service::prelude::*;
 use std::time::{Duration, Instant};
 use trials::derive_seed;
 
-/// Table 1 patterns plus single-flag perturbations — the same
-/// cache-friendly key space the `throughput` driver sweeps.
+/// Table 1 patterns plus single-flag perturbations: a cache-friendly
+/// key space of a few dozen distinct fact patterns.
 fn patterns() -> Vec<InvestigativeAction> {
     let mut patterns: Vec<InvestigativeAction> =
         table1().iter().map(|s| s.action().clone()).collect();
@@ -129,7 +127,6 @@ fn main() {
     }
     worker_counts.push(max_workers);
 
-    let mut scaling = Vec::new();
     let mut base_rps = 0.0;
     for &workers in &worker_counts {
         let service = ComplianceService::start(ServiceConfig {
@@ -169,15 +166,6 @@ fn main() {
             rps,
             rps / base_rps,
             hit_rate * 100.0
-        );
-        scaling.push(
-            Json::obj()
-                .set("workers", workers)
-                .set("requests", requests)
-                .set("wall_ms", wall.as_secs_f64() * 1e3)
-                .set("throughput_rps", rps)
-                .set("speedup_vs_1", rps / base_rps)
-                .set("cache_hit_rate", hit_rate),
         );
     }
 
@@ -288,47 +276,8 @@ fn main() {
         "          e2e p50 {}us  p95 {}us  p99 {}us (full-queue bound ~{}us)",
         finals.end_to_end.p50_us, finals.end_to_end.p95_us, p99, queue_bound_us
     );
-    println!("metrics: {}", finals.to_json());
-
-    // ── Record everything into BENCH_results.json ───────────────────────
-    let metrics_json =
-        results::parse(&finals.to_json()).expect("snapshot JSON parses under the bench model");
-    let section = Json::obj()
-        .set("name", "service_load")
-        .set(
-            "config",
-            Json::obj()
-                .set("requests", requests)
-                .set("workers_max", max_workers)
-                .set("capacity", capacity)
-                .set("floor_us", floor_us)
-                .set("overload_factor", overload)
-                .set("overload_requests", overload_requests)
-                .set("seed", seed),
-        )
-        .set("scaling", Json::Arr(scaling))
-        .set(
-            "cached_ceiling",
-            Json::obj()
-                .set("workers", max_workers)
-                .set("throughput_rps", ceiling_rps),
-        )
-        .set(
-            "overload",
-            Json::obj()
-                .set("policy", "reject")
-                .set("nominal_rps", nominal_rps)
-                .set("offered_rps", offered_rps)
-                .set("achieved_rps", achieved_rps)
-                .set("shed_rate", finals.shed_rate())
-                .set("p50_e2e_us", finals.end_to_end.p50_us)
-                .set("p95_e2e_us", finals.end_to_end.p95_us)
-                .set("p99_e2e_us", p99)
-                .set("full_queue_bound_us", queue_bound_us)
-                .set("max_observed_depth", max_depth)
-                .set("metrics", metrics_json),
-        );
-    results::record("service_load", section).expect("write BENCH_results.json");
-    println!("wrote {}", results::RESULTS_FILE);
+    let metrics = finals.to_json();
+    println!("metrics: {metrics}");
+    forensic_law::spec::json::parse(&metrics).expect("metrics snapshot is valid JSON");
     println!("zero lost responses across all phases");
 }

@@ -16,10 +16,8 @@
 //! the point's peak RSS (`VmHWM`, reset between points where the kernel
 //! allows). A final phase re-runs a mid-size configuration at 1, 2, and
 //! 8 workers and asserts bit-identical results — the determinism
-//! contract the engine is built around. Everything is recorded under
-//! the `simcore_scale` key in `BENCH_results.json`.
+//! contract the engine is built around.
 
-use bench::results::{self, Json};
 use p2psim::experiment::{run_experiment, run_experiments_on, ExperimentConfig};
 use service::cli::Args;
 use std::time::Instant;
@@ -35,16 +33,9 @@ fn peak_rss_kb() -> Option<u64> {
 
 /// Resets the RSS high-water mark so each sweep point reports its own
 /// peak. Best-effort: if the kernel refuses, `VmHWM` stays monotonic
-/// across points (still an upper bound; noted in the recorded config).
+/// across points (still an upper bound; noted in the output).
 fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
-}
-
-fn rss_json() -> Json {
-    match peak_rss_kb() {
-        Some(kb) => Json::Num(kb as f64),
-        None => Json::Num(0.0),
-    }
 }
 
 /// The size axis: round decades up to `max`, always ending on `max`.
@@ -92,7 +83,6 @@ fn main() {
         "peers", "accuracy", "events", "wall ms", "Mev/s", "peak RSS MB"
     );
     bench::rule(74);
-    let mut oneswarm_points = Vec::new();
     for peers in size_axis(max_nodes) {
         reset_peak_rss();
         let cfg = oneswarm_config(peers, base_seed ^ peers as u64);
@@ -109,15 +99,6 @@ fn main() {
             evs / 1e6,
             peak_rss_kb().unwrap_or(0) as f64 / 1024.0,
         );
-        oneswarm_points.push(
-            Json::obj()
-                .set("nodes", peers)
-                .set("accuracy", result.metrics.accuracy())
-                .set("sim_events", result.sim_events)
-                .set("wall_ms", wall_ms)
-                .set("events_per_sec", evs)
-                .set("peak_rss_kb", rss_json()),
-        );
     }
 
     // Sweep 2: population-scale watermark despreading. Each size builds
@@ -129,7 +110,6 @@ fn main() {
         "nodes", "suspects", "correct", "sep", "events", "wall ms", "Mev/s", "peak RSS MB"
     );
     bench::rule(88);
-    let mut watermark_points = Vec::new();
     for nodes in size_axis(max_nodes) {
         reset_peak_rss();
         let cfg = PopulationConfig {
@@ -157,20 +137,6 @@ fn main() {
             wall_ms,
             evs / 1e6,
             peak_rss_kb().unwrap_or(0) as f64 / 1024.0,
-        );
-        watermark_points.push(
-            Json::obj()
-                .set("nodes", result.nodes)
-                .set("suspects", result.suspects)
-                .set("correct", result.correct())
-                .set("separation", result.separation())
-                .set("target_statistic", result.target_statistic)
-                .set("null_max_abs", result.null_max_abs)
-                .set("false_positives", result.false_positives)
-                .set("sim_events", result.sim_events)
-                .set("wall_ms", wall_ms)
-                .set("events_per_sec", evs)
-                .set("peak_rss_kb", rss_json()),
         );
     }
 
@@ -202,33 +168,5 @@ fn main() {
     println!(
         "\ndeterminism: {det_peers}-peer batch bit-identical at 1/2/8 workers; \
          population run replays exactly"
-    );
-
-    results::record(
-        "simcore_scale",
-        Json::obj()
-            .set(
-                "config",
-                Json::obj()
-                    .set("nodes", max_nodes)
-                    .set("seed", base_seed)
-                    .set("rss_reset", rss_resets),
-            )
-            .set("oneswarm_sweep", Json::Arr(oneswarm_points))
-            .set("watermark_sweep", Json::Arr(watermark_points))
-            .set(
-                "determinism",
-                Json::obj()
-                    .set(
-                        "workers",
-                        Json::Arr(vec![1u64.into(), 2u64.into(), 8u64.into()]),
-                    )
-                    .set("identical", workers_identical && replayed_identical),
-            ),
-    )
-    .expect("write BENCH_results.json");
-    println!(
-        "recorded: simcore_scale section in {}",
-        results::RESULTS_FILE
     );
 }

@@ -30,10 +30,8 @@
 //!
 //! The driver **fails** when the overhead exceeds the limit (default
 //! 5%) in every round: tracing that taxes the hot path more than that
-//! does not ship. The measurement lands under `"trace_overhead"` in
-//! `BENCH_results.json`.
+//! does not ship.
 
-use bench::results::{self, Json};
 use forensic_law::prelude::*;
 use forensic_law::scenarios::table1;
 use service::cli::Args;
@@ -185,24 +183,6 @@ fn main() -> ExitCode {
         "enabled-but-idle overhead: {:.2}% (limit {limit_pct}%)",
         overhead * 100.0
     );
-
-    let section = Json::obj()
-        .set("name", "trace_overhead")
-        .set(
-            "config",
-            Json::obj()
-                .set("requests", requests)
-                .set("trials", trials)
-                .set("rounds", rounds)
-                .set("workers", workers)
-                .set("limit_pct", limit_pct),
-        )
-        .set("off_rps", off_rps)
-        .set("on_rps", on_rps)
-        .set("overhead_pct", overhead * 100.0)
-        .set("within_limit", overhead * 100.0 < limit_pct);
-    results::record("trace_overhead", section).expect("write BENCH_results.json");
-    println!("wrote {}", results::RESULTS_FILE);
 
     if overhead * 100.0 >= limit_pct {
         eprintln!(

@@ -1,7 +1,7 @@
 //! Load driver for the `wire` crate: N pipelined connections over real
 //! loopback TCP against an in-process epoll [`EventServer`], recording
 //! client-measured round-trip quantiles, throughput, and peak RSS per
-//! sweep point into `BENCH_results.json` under `wire_load`.
+//! sweep point.
 //!
 //! ```console
 //! $ cargo run --release --bin wire_load -- [OPTIONS]
@@ -32,7 +32,6 @@
 //! request got exactly one `ok` answer (an unknown or repeated
 //! response id panics), and the server's books agree.
 
-use bench::results::{self, Json};
 use service::cli::Args;
 use service::metrics::Histogram;
 use service::prelude::*;
@@ -89,7 +88,7 @@ fn peak_rss_kb() -> Option<u64> {
 
 /// Resets the RSS high-water mark so each sweep point reports its own
 /// peak. Best-effort: if the kernel refuses, `VmHWM` stays monotonic
-/// across points (still an upper bound, noted in the config).
+/// across points (still an upper bound, noted in the output).
 fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
@@ -197,7 +196,7 @@ fn main() {
     // connection is two of them (client end + server end); against an
     // external server only the client end lives here. A probe failure
     // caps conservatively rather than silently — the cap is always
-    // printed and recorded.
+    // printed.
     let fds_per_conn: u64 = if external.is_some() { 1 } else { 2 };
     let soft_limit = fd_soft_limit();
     let conn_cap = soft_limit
@@ -228,12 +227,11 @@ fn main() {
     }
     bench::rule(76);
 
-    let mut points = Vec::new();
     let mut base_rps = 0.0;
     for &connections in &sweep_points(max_connections) {
         reset_peak_rss();
         let total = requests * connections as u64;
-        let (wall, rtt, wire_finals) = match &external {
+        let (wall, rtt) = match &external {
             Some(target) => {
                 use std::net::ToSocketAddrs as _;
                 let addr = target
@@ -241,8 +239,7 @@ fn main() {
                     .expect("resolve --addr")
                     .next()
                     .expect("--addr resolves to an address");
-                let (wall, rtt) = drive(addr, connections, requests, pipeline, seed);
-                (wall, rtt, None)
+                drive(addr, connections, requests, pipeline, seed)
             }
             None => {
                 let service = Arc::new(ComplianceService::start(ServiceConfig {
@@ -268,7 +265,7 @@ fn main() {
                     finals.accepted,
                     "service lost a response"
                 );
-                (wall, rtt, Some(wire_finals))
+                (wall, rtt)
             }
         };
         // Client-side exactly-once holds in both modes: every id
@@ -285,61 +282,8 @@ fn main() {
             "{model:>8}  {connections:>5} conns  {:>9.1?}  {:>9.0} req/s  {:>5.2}x vs 1 conn  p99 {}us  rss {}KiB",
             wall, rps, rps / base_rps, rtt.p99_us, rss_kb
         );
-        let mut point = Json::obj()
-            .set("connections", connections)
-            .set("requests_per_connection", requests)
-            .set("total_requests", total)
-            .set("wall_ms", wall.as_secs_f64() * 1e3)
-            .set("throughput_rps", rps)
-            .set("speedup_vs_1", rps / base_rps)
-            .set("rtt_p50_us", rtt.p50_us)
-            .set("rtt_p95_us", rtt.p95_us)
-            .set("rtt_p99_us", rtt.p99_us)
-            .set("rtt_max_us", rtt.max_us)
-            .set("peak_rss_kb", rss_kb);
-        if let Some(finals) = wire_finals {
-            point = point
-                .set("peak_inflight", finals.peak_inflight)
-                .set("wakeups", finals.wakeups)
-                .set("writev_batches", finals.writev_batches)
-                .set("bytes_in", finals.bytes_in)
-                .set("bytes_out", finals.bytes_out);
-        }
-        points.push(point);
     }
 
     bench::rule(76);
-    let section = Json::obj()
-        .set("name", "wire_load")
-        .set(
-            "config",
-            Json::obj()
-                .set("requests_per_connection", requests)
-                .set("connections_requested", requested_max)
-                .set("connections_max", max_connections)
-                .set("fd_soft_limit", soft_limit.map_or(Json::Null, Json::from))
-                .set("fd_conn_cap", conn_cap)
-                .set(
-                    "external_addr",
-                    external.as_deref().map_or(Json::Null, Json::from),
-                )
-                .set("rss_resets_per_point", rss_resets)
-                .set("pipeline", pipeline)
-                .set("workers", workers)
-                .set("capacity", capacity)
-                .set("floor_us", floor_us)
-                .set("seed", seed),
-        )
-        .set(
-            "servers",
-            Json::obj().set(
-                model,
-                Json::obj()
-                    .set("connections_max", max_connections)
-                    .set("sweep", Json::Arr(points)),
-            ),
-        );
-    results::record("wire_load", section).expect("write BENCH_results.json");
-    println!("wrote {}", results::RESULTS_FILE);
     println!("zero lost or duplicated responses across every sweep");
 }

@@ -1,9 +1,10 @@
 //! Shared helpers for the experiment-regeneration binaries and std-only
 //! benchmarks.
 //!
-//! The binaries regenerate the paper's evaluation artifacts:
+//! The binaries regenerate the paper's evaluation artifacts and drive
+//! the workspace's subsystems at scale:
 //!
-//! | binary | regenerates |
+//! | binary | regenerates or measures |
 //! |---|---|
 //! | `table1` | Paper Table 1 — the 20 warrant/no-warrant scenes |
 //! | `oneswarm_attack` | §IV-A feasibility — timing-attack accuracy sweeps incl. the wide-band breaking point |
@@ -11,18 +12,21 @@
 //! | `suppression` | §I warning — admissible vs suppressed outcomes |
 //! | `p2p_comparison` | Table 1 rows 9/10 ablation — normal vs anonymous P2P |
 //! | `watermark_roc` | detector calibration — null spread, ROC/AUC, repetition gain |
-//! | `throughput` | batch-assessment scaling — sequential vs cached vs threaded |
 //! | `experiments` | parallel trial-runner scaling + detector fast-path vs reference |
-//! | `service_load` | bounded-queue service — worker scaling, cached ceiling, 2× overload shed/latency |
 //! | `simcore_scale` | population-scale overlays — events/s, wall time, peak RSS per size, 1/2/8-worker determinism |
+//! | `service_load` | bounded-queue service — worker scaling, cached ceiling, 2× overload shed/latency |
+//! | `wire_load` | epoll TCP server — pipelined connection sweep up to C10K, RTT quantiles, peak RSS |
+//! | `trace_overhead` | enabled-but-idle tracing cost against the cached ceiling (fails above 5%) |
+//! | `replay_serve` | journal → live refire → compaction → refire, zero divergences and a ≥2× compaction |
+//! | `plan_search` | planner item-count sweep — nodes expanded, nodes/s, thread-count determinism |
 //!
-//! Perf drivers additionally write machine-readable measurements into
-//! [`results::RESULTS_FILE`] so the trajectory is tracked across PRs, and
-//! take `--trials`/`--threads`/`--seed` flags parsed by
-//! [`service::cli::Args`].
+//! Each driver asserts its own invariants and exits nonzero when one
+//! fails; measurements go to stdout. Flags (`--trials`, `--threads`,
+//! `--seed`, ...) are parsed by [`service::cli::Args`]. The repository
+//! benchmark with per-layer attribution is the separate `perfbench`
+//! package.
 
 pub mod harness;
-pub mod results;
 
 /// Prints a horizontal rule sized to a table width.
 pub fn rule(width: usize) {

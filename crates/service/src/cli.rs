@@ -5,7 +5,7 @@
 //!
 //! ```console
 //! $ lexforensica serve specs.jsonl --workers 8 --policy reject
-//! $ cargo run --release --bin service_load -- --rate 50000 --seed 7
+//! $ cargo run --release -p bench --bin service_load -- --overload 3 --seed 7
 //! ```
 //!
 //! This module is the single source of truth: the `lexforensica` CLI and

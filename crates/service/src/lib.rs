@@ -21,8 +21,7 @@
 //!   Every admitted request gets exactly one response.
 //! * [`metrics`] — lock-free counters and fixed-bucket latency
 //!   histograms (queue wait, engine time, end-to-end) with p50/p95/p99
-//!   extraction and a JSON snapshot emitter that merges into
-//!   `BENCH_results.json`.
+//!   extraction and a single-line JSON snapshot emitter.
 //! * [`cli`] — the std-only `--flag value` parser shared with the bench
 //!   drivers and the `lexforensica` binary.
 //!

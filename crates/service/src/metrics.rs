@@ -9,10 +9,9 @@
 //! quantiles with a fixed 256-slot table — the same shape HdrHistogram
 //! uses, reduced to what a latency report needs.
 //!
-//! [`MetricsSnapshot::to_json`] emits the snapshot as a JSON object
-//! (plain text, std-only) that parses under the same minimal JSON model
-//! `BENCH_results.json` uses, so the `service_load` bench driver can
-//! merge live service metrics straight into the perf-trajectory file.
+//! [`MetricsSnapshot::to_json`] emits the snapshot as a single-line
+//! JSON object (plain text, std-only): the `metrics:` line that
+//! `lexforensica serve` prints at drain.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -272,9 +271,8 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Serializes as one JSON object (single line). The output parses
-    /// under the minimal JSON model `BENCH_results.json` uses, so bench
-    /// drivers can merge it directly.
+    /// Serializes as one JSON object on a single line, for the serving
+    /// CLI's drain-time log; it parses under `forensic_law::spec::json`.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
@@ -413,10 +411,30 @@ mod tests {
         assert!(text.contains("\"queue_depth\": 3"));
         assert!(text.contains("\"end_to_end_us\": {\"count\": 1"));
         assert!(!text.contains('\n'));
-        // Balanced braces — cheap structural sanity without a parser
-        // (the bench crate cross-checks real parsability).
-        let open = text.matches('{').count();
-        let close = text.matches('}').count();
-        assert_eq!(open, close);
+    }
+
+    #[test]
+    fn json_snapshot_parses_under_the_spec_reader() {
+        use forensic_law::spec::json::{parse, Value};
+        fn field<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
+            match value {
+                Value::Object(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+
+        let m = ServiceMetrics::default();
+        m.submitted.add(10);
+        m.accepted.add(8);
+        m.rejected.add(2);
+        m.completed.add(8);
+        m.end_to_end.record(Duration::from_micros(750));
+        let doc = parse(&m.snapshot(3).to_json()).expect("snapshot JSON parses");
+
+        assert_eq!(field(&doc, "accepted"), Some(&Value::Number(8.0)));
+        assert_eq!(field(&doc, "shed_rate"), Some(&Value::Number(0.2)));
+        let e2e = field(&doc, "end_to_end_us").expect("histogram object");
+        assert_eq!(field(e2e, "count"), Some(&Value::Number(1.0)));
+        assert!(field(e2e, "p99_us").is_some());
     }
 }

@@ -188,11 +188,14 @@ impl<T> std::fmt::Debug for MpmcRing<T> {
 
 impl<T> MpmcRing<T> {
     /// Creates a ring admitting at most `capacity` items (clamped to at
-    /// least one). The slot array is the next power of two, but the
-    /// advertised capacity is enforced exactly.
+    /// least one). The slot array is the next power of two, and at least
+    /// two slots: with one, "published for the consumer at `pos`" and
+    /// "released for the producer at `pos + 1`" are the same sequence
+    /// value, so a producer could overwrite a claimed but unread item.
+    /// The advertised capacity is enforced exactly either way.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let ring_size = capacity.next_power_of_two();
+        let ring_size = capacity.next_power_of_two().max(2);
         let slots: Box<[Slot<T>]> = (0..ring_size)
             .map(|i| Slot {
                 seq: AtomicU64::new(i as u64),
@@ -781,6 +784,80 @@ mod tests {
                 accepted.load(Ordering::SeqCst),
                 "an accepted item was never popped"
             );
+        }
+    }
+
+    /// Regression: a capacity-1 ring used to build a single slot, where
+    /// a producer could claim the slot between a consumer's claim CAS
+    /// and its read. The unread item was overwritten, the consumer's
+    /// release rewound the slot, and the ring then looked full to
+    /// producers and empty to consumers forever, with an accepted item
+    /// stranded (`len() == 1`, nothing poppable). Consumers here wait
+    /// for every accepted item, up to a deadline, so a regression fails
+    /// the assertions below instead of hanging the suite.
+    #[test]
+    fn capacity_one_delivers_every_accepted_item_exactly_once() {
+        const ROUNDS: usize = 50;
+        const PRODUCERS: usize = 2;
+        const CONSUMERS: usize = 2;
+        const PER_PRODUCER: usize = 4_000;
+        const ITEMS: usize = PRODUCERS * PER_PRODUCER;
+
+        for round in 0..ROUNDS {
+            let q = MpmcRing::<usize>::new(1);
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            let producing = AtomicUsize::new(PRODUCERS);
+            let accepted_count = AtomicUsize::new(0);
+            let popped_count = AtomicUsize::new(0);
+            let accepted: Vec<AtomicBool> = (0..ITEMS).map(|_| AtomicBool::new(false)).collect();
+            let pops: Vec<AtomicUsize> = (0..ITEMS).map(|_| AtomicUsize::new(0)).collect();
+            std::thread::scope(|scope| {
+                for _ in 0..CONSUMERS {
+                    scope.spawn(|| loop {
+                        let finished = producing.load(Ordering::SeqCst) == 0;
+                        if let Some(item) = q.try_pop() {
+                            pops[item].fetch_add(1, Ordering::SeqCst);
+                            popped_count.fetch_add(1, Ordering::SeqCst);
+                        } else if (finished
+                            && popped_count.load(Ordering::SeqCst)
+                                >= accepted_count.load(Ordering::SeqCst))
+                            || std::time::Instant::now() >= deadline
+                        {
+                            return;
+                        } else {
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+                for (p, flags) in accepted.chunks(PER_PRODUCER).enumerate() {
+                    let (q, producing, accepted_count) = (&q, &producing, &accepted_count);
+                    scope.spawn(move || {
+                        for (i, flag) in flags.iter().enumerate() {
+                            if q.push(p * PER_PRODUCER + i, AdmissionPolicy::Reject)
+                                .is_ok()
+                            {
+                                flag.store(true, Ordering::SeqCst);
+                                accepted_count.fetch_add(1, Ordering::SeqCst);
+                            }
+                        }
+                        producing.fetch_sub(1, Ordering::SeqCst);
+                    });
+                }
+            });
+            assert_eq!(
+                popped_count.load(Ordering::SeqCst),
+                accepted_count.load(Ordering::SeqCst),
+                "round {round}: stalled with len() == {} after {} pops",
+                q.len(),
+                popped_count.load(Ordering::SeqCst)
+            );
+            for (item, (accepted, pops)) in accepted.iter().zip(&pops).enumerate() {
+                assert_eq!(
+                    pops.load(Ordering::SeqCst),
+                    usize::from(accepted.load(Ordering::SeqCst)),
+                    "round {round}: item {item} popped the wrong number of times"
+                );
+            }
         }
     }
 

@@ -60,9 +60,10 @@ use crate::frame::{self, Explain, Frame, PlanResponse, Response, Status};
 use crate::metrics::{WireMetrics, WireMetricsSnapshot};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use forensic_law::batch::BatchAssessor;
+use forensic_law::factkey::FactKey;
 use forensic_law::provenance::push_escaped;
 use forensic_law::spec::ActionSpec;
-use journal::{Journal, RecordData};
+use journal::{Journal, Record, RecordData, Retention};
 use obs::{Stage, TraceId};
 use service::prelude::*;
 use std::io::{self, Write as _};
@@ -226,6 +227,46 @@ impl EvShared {
                 .push(conn.token);
             self.doorbell.signal();
         }
+    }
+}
+
+/// The compaction retention policy for a journal this server wrote:
+/// what `journal compact` keeps of each record, read from the status
+/// byte [`EventServer`] journals with it.
+///
+/// - A verdict supersedes earlier verdicts for the same engine-visible
+///   facts: the [`FactKey`] projection, not the request bytes, is the
+///   identity, so two spellings of one action compact to one record.
+///   A verdict whose request no longer parses is kept, for `replay` to
+///   flag rather than guess.
+/// - Malformed requests dedupe by their raw bytes.
+/// - Timeouts, sheds, rejections and going-away answers are facts about
+///   a past run's load, not about the law, so compaction drops them.
+pub fn compaction_retention(record: &Record) -> Retention {
+    match Status::from_byte(record.status) {
+        Some(Status::Ok) => {
+            let action = std::str::from_utf8(&record.request).ok().and_then(|line| {
+                ActionSpec::from_json_line(line)
+                    .and_then(|spec| spec.to_action())
+                    .ok()
+            });
+            match action {
+                Some(action) => {
+                    let mut key = Vec::with_capacity(9);
+                    key.push(0x01);
+                    key.extend_from_slice(&FactKey::of(&action).bits().to_be_bytes());
+                    Retention::Supersede(key)
+                }
+                None => Retention::Keep,
+            }
+        }
+        Some(Status::BadRequest) => {
+            let mut key = Vec::with_capacity(1 + record.request.len());
+            key.push(0x02);
+            key.extend_from_slice(&record.request);
+            Retention::Supersede(key)
+        }
+        _ => Retention::Drop,
     }
 }
 
@@ -1268,6 +1309,62 @@ mod tests {
         assert_eq!(report.metrics.frames_out, 1);
         assert_eq!(report.metrics.protocol_errors, 0);
         Arc::try_unwrap(service).expect("sole owner").shutdown();
+    }
+
+    fn record(status: Status, request: &[u8]) -> Record {
+        Record {
+            seq: 1,
+            trace: TraceId::mint(),
+            at_us: 0,
+            status: status.as_byte(),
+            request: request.to_vec(),
+            verdict: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn compaction_retention_covers_every_disposition() {
+        // Two spellings of one action (key order, free text) share a key.
+        let a = compaction_retention(&record(Status::Ok, GOOD));
+        let b = compaction_retention(&record(
+            Status::Ok,
+            br#"{"where": "isp", "when": "realtime", "data": "content", "actor": "leo", "describe": "tap"}"#,
+        ));
+        assert!(matches!(&a, Retention::Supersede(_)));
+        assert_eq!(a, b);
+
+        // Malformed requests dedupe by their raw bytes.
+        let bad = compaction_retention(&record(Status::BadRequest, b"not json"));
+        assert_eq!(
+            bad,
+            compaction_retention(&record(Status::BadRequest, b"not json"))
+        );
+        assert_ne!(
+            bad,
+            compaction_retention(&record(Status::BadRequest, b"not json either"))
+        );
+        assert!(matches!(&bad, Retention::Supersede(_)));
+        assert_ne!(bad, a);
+
+        // An ok record whose payload no longer parses is kept.
+        assert_eq!(
+            compaction_retention(&record(Status::Ok, b"not json")),
+            Retention::Keep
+        );
+
+        // Load-dependent dispositions are dropped.
+        for status in [
+            Status::TimedOut,
+            Status::Shed,
+            Status::Rejected,
+            Status::GoingAway,
+        ] {
+            assert_eq!(
+                compaction_retention(&record(status, GOOD)),
+                Retention::Drop,
+                "{status:?}"
+            );
+        }
     }
 
     #[test]

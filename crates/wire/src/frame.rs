@@ -318,8 +318,7 @@ impl From<io::Error> for FrameError {
 
 impl FrameError {
     /// Whether this is a transient read timeout (the socket's receive
-    /// timeout fired), as opposed to a real failure. Servers use timed
-    /// reads as their drain/idle tick.
+    /// timeout fired), as opposed to a real failure.
     pub fn is_timeout(&self) -> bool {
         matches!(
             self,
@@ -511,11 +510,14 @@ fn read_committed(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
 /// Reads one frame. Returns `Ok(None)` on a clean EOF at a frame
 /// boundary.
 ///
-/// A read timeout (`WouldBlock`/`TimedOut`) before the first byte of a
-/// frame surfaces as [`FrameError::Io`] with nothing consumed, so the
-/// caller may safely retry; see [`FrameError::is_timeout`]. The server
-/// wraps its stream in a ticking reader that absorbs mid-frame
-/// timeouts, so in-frame reads never lose partial state.
+/// A blocking reader, for the [`WireClient`](crate::WireClient)
+/// reader thread and for tests; the server decodes nonblocking sockets
+/// incrementally with [`StreamDecoder`] instead. A read timeout
+/// (`WouldBlock`/`TimedOut`) before the first byte of a frame surfaces
+/// as [`FrameError::Io`] with nothing consumed, so the caller may
+/// safely retry; see [`FrameError::is_timeout`]. A timeout inside a
+/// frame also surfaces as [`FrameError::Io`], and the partial frame is
+/// lost.
 ///
 /// # Errors
 ///

@@ -3,8 +3,8 @@
 //! Reuses the service crate's lock-free [`Counter`] and log-linear
 //! [`Histogram`] so wire latency quantiles come out in exactly the same
 //! shape as the service's queue-wait/engine/end-to-end snapshots — one
-//! histogram model across the whole serving stack, and one JSON emitter
-//! convention that merges into `BENCH_results.json`.
+//! histogram model across the whole serving stack, and one single-line
+//! JSON emitter convention for the serving CLI's drain-time log.
 
 use service::metrics::{Counter, Histogram, HistogramSnapshot};
 use std::fmt::Write as _;
@@ -114,8 +114,9 @@ pub struct WireMetricsSnapshot {
 }
 
 impl WireMetricsSnapshot {
-    /// Serializes as one JSON object (single line), in the same minimal
-    /// model the service snapshot and `BENCH_results.json` use.
+    /// Serializes as one JSON object on a single line, in the same
+    /// shape as the service snapshot; it parses under
+    /// `forensic_law::spec::json`.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
@@ -193,6 +194,6 @@ mod tests {
         assert!(text.contains("\"frames_in\": 3"));
         assert!(text.contains("\"wire_latency_us\": {\"count\": 1"));
         assert!(!text.contains('\n'));
-        assert_eq!(text.matches('{').count(), text.matches('}').count());
+        forensic_law::spec::json::parse(&text).expect("snapshot JSON parses");
     }
 }

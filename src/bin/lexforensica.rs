@@ -14,7 +14,7 @@
 //! ```
 
 use lexforensica::journal::{
-    Journal, JournalConfig, JournalReader, Mode, Record, RecordData, Retention, SwapRecovery,
+    Journal, JournalConfig, JournalReader, Mode, Record, RecordData, SwapRecovery,
 };
 use lexforensica::law::batch::BatchAssessor;
 use lexforensica::law::casebook::{all_citations, lookup};
@@ -413,46 +413,18 @@ fn open_journal(dir: &str) -> Result<Journal, ExitCode> {
 
 /// `journal compact DIR`: rewrite the journal keeping only the latest
 /// verdict per distinct action (and the latest diagnostic per distinct
-/// malformed request), dropping load-dependent records entirely. The
-/// swap is crash-safe: SIGKILL at any instant leaves the old or the new
-/// generation, never a splice, and the next open completes the swap.
+/// malformed request), dropping load-dependent records entirely, per
+/// `wire::compaction_retention`. The swap is crash-safe: SIGKILL at any
+/// instant leaves the old or the new generation, never a splice, and
+/// the next open completes the swap.
 fn cmd_journal_compact(args: &Args) -> ExitCode {
     let Some(dir) = args.positional(1) else {
         return usage();
     };
-    let classify = |record: &Record| -> Retention {
-        match Status::from_byte(record.status) {
-            // A verdict supersedes earlier verdicts for the same
-            // engine-visible facts: the FactKey projection, not the
-            // request bytes, is the identity (two spellings of one
-            // action compact to one record).
-            Some(Status::Ok) => match parse_action(&record.request) {
-                Ok(action) => {
-                    let mut key = Vec::with_capacity(9);
-                    key.push(0x01);
-                    key.extend_from_slice(&FactKey::of(&action).bits().to_be_bytes());
-                    Retention::Supersede(key)
-                }
-                // Journaled ok but no longer parseable: preserve the
-                // evidence for `replay` to flag rather than guess.
-                Err(_) => Retention::Keep,
-            },
-            // Malformed requests dedupe by their raw bytes.
-            Some(Status::BadRequest) => {
-                let mut key = Vec::with_capacity(1 + record.request.len());
-                key.push(0x02);
-                key.extend_from_slice(&record.request);
-                Retention::Supersede(key)
-            }
-            // Timeouts, sheds, rejections: facts about a past run's
-            // load, not about the law. Compaction retires them.
-            _ => Retention::Drop,
-        }
-    };
     match lexforensica::journal::compact::compact(
         Path::new(dir),
         JournalConfig::default(),
-        classify,
+        lexforensica::wire::compaction_retention,
     ) {
         Ok(report) => {
             match report.prior {
