@@ -61,7 +61,7 @@ fn scale<T: PartialEq>(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["trials", "threads", "seed"]);
     let trials = args.usize_flag("trials", 16);
     let threads = args.usize_flag("threads", TrialRunner::new().threads());
     let seed = args.u64_flag("seed", 0xbeef);

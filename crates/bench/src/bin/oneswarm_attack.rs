@@ -15,7 +15,7 @@ use service::cli::Args;
 use trials::TrialRunner;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["trials", "nodes", "threads", "seed"]);
     let trials = args.usize_flag("trials", 1);
     let runner =
         TrialRunner::with_threads(args.usize_flag("threads", TrialRunner::new().threads()));

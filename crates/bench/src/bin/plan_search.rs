@@ -100,7 +100,7 @@ fn item_axis(max: usize) -> Vec<usize> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["items", "threads"]);
     let max_items = args.usize_flag("items", 12).clamp(4, 32);
     let threads = args.usize_flag(
         "threads",

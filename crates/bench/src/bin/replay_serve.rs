@@ -149,7 +149,15 @@ fn refire(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "records",
+        "conns",
+        "pipeline",
+        "workers",
+        "threads",
+        "segment-kb",
+        "seed",
+    ]);
     let records = args.u64_flag("records", 100_000);
     let connections = args.usize_flag("conns", 64).max(1);
     let pipeline = args.usize_flag("pipeline", 32).max(1);

@@ -102,7 +102,15 @@ fn closed_loop(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "requests",
+        "workers",
+        "capacity",
+        "floor-us",
+        "overload",
+        "overload-requests",
+        "seed",
+    ]);
     let requests = args.u64_flag("requests", 3000);
     let max_workers = args.usize_flag("workers", 8).max(1);
     let capacity = args.usize_flag("capacity", 512);

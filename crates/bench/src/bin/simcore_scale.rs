@@ -66,7 +66,7 @@ fn events_per_sec(events: u64, wall_ms: f64) -> f64 {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["nodes", "seed"]);
     let max_nodes = args.usize_flag("nodes", 100_000).max(64);
     let base_seed = args.u64_flag("seed", 0x5ca1e);
     let rss_resets = reset_peak_rss();

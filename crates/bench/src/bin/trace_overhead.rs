@@ -2,7 +2,7 @@
 //! cached service ceiling when nobody is reading it?
 //!
 //! ```console
-//! $ cargo run --release --bin trace_overhead -- [--requests N] [--trials K] [--limit-pct P]
+//! $ cargo run --release --bin trace_overhead -- [--requests N] [--trials K] [--rounds R] [--workers W] [--limit-pct P]
 //! ```
 //!
 //! The workload is the service's best case — a small fact-key set fully
@@ -120,7 +120,7 @@ fn measure_round(
 }
 
 fn main() -> ExitCode {
-    let args = Args::parse();
+    let args = Args::parse(&["trials", "rounds", "requests", "workers", "limit-pct"]);
     let requests = args.usize_flag("requests", DEFAULT_REQUESTS);
     let trials = args.usize_flag("trials", DEFAULT_TRIALS).max(1);
     let rounds = args.usize_flag("rounds", DEFAULT_ROUNDS).max(1);

@@ -14,7 +14,7 @@ use watermark::circuit_experiment::run_circuit_trial;
 use watermark::experiment::{run_trials_on, WatermarkExperimentConfig};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["trials", "threads", "seed"]);
     let trials = args.usize_flag("trials", 8);
     let runner =
         TrialRunner::with_threads(args.usize_flag("threads", TrialRunner::new().threads()));

@@ -17,7 +17,7 @@ use watermark::population::{run_population, PopulationConfig};
 use watermark::roc::{auc, null_statistics_on, roc_curve, signal_statistics_on};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["trials", "nodes", "threads", "seed"]);
     let draws = args.usize_flag("trials", 400);
     let runner =
         TrialRunner::with_threads(args.usize_flag("threads", TrialRunner::new().threads()));

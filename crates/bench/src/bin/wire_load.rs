@@ -169,7 +169,9 @@ fn sweep_points(max: usize) -> Vec<usize> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "requests", "conns", "pipeline", "workers", "capacity", "floor-us", "seed", "addr",
+    ]);
     let requests = args.u64_flag("requests", 500);
     let requested_max = args.usize_flag("conns", 8).max(1);
     let pipeline = args.usize_flag("pipeline", 16).max(1);

@@ -22,7 +22,8 @@
 //!
 //! Each driver asserts its own invariants and exits nonzero when one
 //! fails; measurements go to stdout. Flags (`--trials`, `--threads`,
-//! `--seed`, ...) are parsed by [`service::cli::Args`]. The repository
+//! `--seed`, ...) are parsed by [`service::cli::Args`], and a flag the
+//! driver does not read is refused. The repository
 //! benchmark with per-layer attribution is the separate `perfbench`
 //! package.
 

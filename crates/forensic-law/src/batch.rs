@@ -11,9 +11,10 @@
 //!
 //! * [`VerdictCache`] — a sharded, thread-safe map from [`FactKey`] to
 //!   `Arc<LegalAssessment>` with hit/miss counters ([`CacheStats`]).
-//! * [`BatchAssessor`] — fans a slice of actions across a scoped
-//!   `std::thread` pool (or, for a batch too small to repay a worker,
-//!   runs it on the calling thread), routing every assessment through a
+//! * [`BatchAssessor`] — splits a slice of actions into chunks, runs
+//!   the first on the calling thread and each other one on a scoped
+//!   `std::thread` worker (a batch too small to repay a worker is one
+//!   chunk and spawns nothing), routing every assessment through a
 //!   shared cache and returning results in input order with a
 //!   [`BatchReport`].
 //!
@@ -58,8 +59,9 @@ const KEY_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 /// A worker therefore repays its spawn only once its chunk carries
 /// about 40 cold actions (and ~530 warm ones); 64 clears the cold
 /// break-even with margin. Small batches — a planner's candidate set, a
-/// CLI fixture — run on the calling thread, while bulk ones (a journal
-/// replayed in 1,024-action chunks) still split across the workers.
+/// CLI fixture — run on the calling thread alone, while bulk ones (a
+/// journal replayed in 1,024-action chunks) split across the calling
+/// thread and its workers.
 const MIN_ACTIONS_PER_WORKER: usize = 64;
 
 /// A single-multiply hasher for [`FactKey`]s.
@@ -288,8 +290,8 @@ impl VerdictCache {
 pub struct BatchReport {
     /// Actions assessed.
     pub actions: u64,
-    /// Threads that assessed the batch: 1 when it ran on the calling
-    /// thread, otherwise the scoped workers that ran.
+    /// Threads that assessed the batch: the calling thread plus the
+    /// scoped workers it spawned (1 when it ran the batch alone).
     pub threads: usize,
     /// Wall-clock time for the batch.
     pub elapsed: Duration,
@@ -328,9 +330,10 @@ impl fmt::Display for BatchReport {
 /// Fans batches of actions across a scoped thread pool, memoizing through
 /// a shared [`VerdictCache`].
 ///
-/// A batch gets at most one worker per `MIN_ACTIONS_PER_WORKER` (64)
-/// actions, capped at the configured thread count; a batch that comes
-/// to a single chunk runs on the calling thread and spawns nothing.
+/// A batch gets at most one thread per `MIN_ACTIONS_PER_WORKER` (64)
+/// actions, capped at the configured thread count. The calling thread
+/// is one of them: it runs the first chunk while scoped workers run the
+/// rest, so a batch that comes to a single chunk spawns nothing.
 /// Results are returned in input order. Every answer is identical to a
 /// fresh [`ComplianceEngine::assess`] call on the same action — the pool
 /// and cache change only the cost, never the verdict.
@@ -398,20 +401,26 @@ impl BatchAssessor {
 
         // Split input and output into matching contiguous chunks; each
         // chunk owns a disjoint `&mut` window, so order is preserved
-        // without any post-hoc sorting. A lone chunk runs right here.
+        // without any post-hoc sorting. The calling thread runs the
+        // first chunk instead of waiting idle, so `k` chunks spawn
+        // `k - 1` workers: one fewer fresh thread, and one fewer malloc
+        // arena holding the cache entries it inserts, per bulk call.
         let workers = self.threads.min(n / MIN_ACTIONS_PER_WORKER).max(1);
         let threads = if workers == 1 {
             self.assess_chunk(actions, &mut results);
             1
         } else {
             let chunk = n.div_ceil(workers);
+            let mut windows = actions.chunks(chunk).zip(results.chunks_mut(chunk));
+            let (own_acts, own_outs) = windows.next().expect("a split batch has chunks");
             std::thread::scope(|scope| {
-                for (acts, outs) in actions.chunks(chunk).zip(results.chunks_mut(chunk)) {
+                for (acts, outs) in windows {
                     scope.spawn(move || self.assess_chunk(acts, outs));
                 }
+                self.assess_chunk(own_acts, own_outs);
             });
-            // Chunks spawned; rounding `chunk` up can leave fewer than
-            // `workers` when there are many threads.
+            // The caller plus its workers; rounding `chunk` up can leave
+            // fewer than `workers` chunks when there are many threads.
             n.div_ceil(chunk)
         };
 

@@ -26,9 +26,27 @@
 //! Unknown keys and unknown values are errors — a batch run reports them
 //! with the offending line number and continues with the remaining lines.
 //!
-//! The parser is a deliberately small, std-only JSON subset reader
-//! (objects, arrays, strings, booleans, numbers, null); the workspace
-//! builds offline with no serialization dependency.
+//! # Decoding
+//!
+//! The reader is a deliberately small, std-only JSON reader (objects,
+//! arrays, strings, booleans, numbers, null); the workspace builds
+//! offline with no serialization dependency. It is one linear lexer
+//! ([`json`]) with two consumers:
+//!
+//! - [`ActionSpec::from_json_line`], the request path (`assess-batch`,
+//!   the wire server, `replay`), walks a line's tokens straight into
+//!   the spec's fields. Keys are compared as borrowed slices, a string
+//!   without escapes is read without a copy, and no [`json::Value`]
+//!   tree is built, so decoding costs time linear in the line length.
+//! - [`json::parse`] builds a [`json::Value`] tree for documents that
+//!   nest a spec (the planner's problem files), handed on to
+//!   [`ActionSpec::from_json_value`].
+//!
+//! Both report the same error for the same line. A syntax error
+//! anywhere on the line wins; otherwise the first key or type error in
+//! source order does. A repeated key keeps its last value, except that
+//! repeated `flags` arrays accumulate. Vocabulary words are checked
+//! afterwards, by [`ActionSpec::to_action`].
 
 use crate::prelude::*;
 
@@ -89,7 +107,10 @@ impl Default for ActionSpec {
 }
 
 impl ActionSpec {
-    /// Parses one JSONL line.
+    /// Parses one JSONL line in one linear pass, straight into the
+    /// spec's fields. It answers exactly as [`json::parse`] followed by
+    /// [`ActionSpec::from_json_value`] would, error text included (see
+    /// the [module docs](self) for which error wins).
     ///
     /// # Errors
     ///
@@ -98,7 +119,76 @@ impl ActionSpec {
     /// validity (e.g. an unknown actor name) is checked later, by
     /// [`ActionSpec::to_action`].
     pub fn from_json_line(line: &str) -> Result<Self, SpecError> {
-        Self::from_json_value(json::parse(line)?)
+        let mut lexer = json::Lexer::new(line);
+        let mut spec = ActionSpec::default();
+        // The first key or type error, held until the whole line has
+        // lexed: a syntax error anywhere on the line takes precedence.
+        let mut fault = None;
+        match lexer.token()? {
+            json::Token::ObjectStart => {
+                let mut first = true;
+                while let Some(key) = lexer.next_key(first)? {
+                    first = false;
+                    let token = lexer.token()?;
+                    if fault.is_some() {
+                        lexer.skip(token)?;
+                    } else {
+                        fault = spec.read_member(&key, token, &mut lexer)?;
+                    }
+                }
+            }
+            other => {
+                lexer.skip(other)?;
+                fault = Some(SpecError::new(NOT_AN_OBJECT));
+            }
+        }
+        lexer.finish()?;
+        match fault {
+            None => Ok(spec),
+            Some(error) => Err(error),
+        }
+    }
+
+    /// Reads one member's value, starting at `token`, into `self`. The
+    /// outer error is a syntax error; a key or type error comes back as
+    /// `Ok(Some(..))`, with the value read past.
+    fn read_member<'a>(
+        &mut self,
+        key: &str,
+        token: json::Token<'a>,
+        lexer: &mut json::Lexer<'a>,
+    ) -> Result<Option<SpecError>, SpecError> {
+        use json::Token;
+        match (key, token) {
+            ("actor", Token::String(s)) => self.actor = s.into_owned(),
+            ("directed", Token::Bool(b)) => self.directed = b,
+            ("data", Token::String(s)) => self.data = s.into_owned(),
+            ("when", Token::String(s)) => self.when = s.into_owned(),
+            ("where", Token::String(s)) => self.location = s.into_owned(),
+            ("describe", Token::String(s)) => self.describe = Some(s.into_owned()),
+            ("flags", Token::ArrayStart) => {
+                let mut fault = None;
+                let mut first = true;
+                while lexer.next_item(first)? {
+                    first = false;
+                    match lexer.token()? {
+                        Token::String(flag) if fault.is_none() => {
+                            self.flags.push(flag.into_owned())
+                        }
+                        other => {
+                            lexer.skip(other)?;
+                            fault.get_or_insert_with(|| SpecError::new(FLAG_NOT_A_STRING));
+                        }
+                    }
+                }
+                return Ok(fault);
+            }
+            (_, token) => {
+                lexer.skip(token)?;
+                return Ok(Some(member_error(key)));
+            }
+        }
+        Ok(None)
     }
 
     /// Parses an already-decoded JSON value — the entry point for
@@ -110,27 +200,28 @@ impl ActionSpec {
     /// Returns [`SpecError`] for a non-object value, unknown keys, or
     /// wrongly typed values, exactly as [`ActionSpec::from_json_line`].
     pub fn from_json_value(value: json::Value) -> Result<Self, SpecError> {
-        let json::Value::Object(pairs) = value else {
-            return Err(SpecError::new("expected a JSON object"));
+        use json::Value;
+        let Value::Object(pairs) = value else {
+            return Err(SpecError::new(NOT_AN_OBJECT));
         };
         let mut spec = ActionSpec::default();
         for (key, value) in pairs {
-            match key.as_str() {
-                "actor" => spec.actor = expect_string(&key, value)?,
-                "directed" => spec.directed = expect_bool(&key, value)?,
-                "data" => spec.data = expect_string(&key, value)?,
-                "when" => spec.when = expect_string(&key, value)?,
-                "where" => spec.location = expect_string(&key, value)?,
-                "describe" => spec.describe = Some(expect_string(&key, value)?),
-                "flags" => {
-                    let json::Value::Array(items) = value else {
-                        return Err(SpecError::new("\"flags\" must be an array of strings"));
-                    };
+            match (key.as_str(), value) {
+                ("actor", Value::String(s)) => spec.actor = s,
+                ("directed", Value::Bool(b)) => spec.directed = b,
+                ("data", Value::String(s)) => spec.data = s,
+                ("when", Value::String(s)) => spec.when = s,
+                ("where", Value::String(s)) => spec.location = s,
+                ("describe", Value::String(s)) => spec.describe = Some(s),
+                ("flags", Value::Array(items)) => {
                     for item in items {
-                        spec.flags.push(expect_string("flags", item)?);
+                        let Value::String(flag) = item else {
+                            return Err(SpecError::new(FLAG_NOT_A_STRING));
+                        };
+                        spec.flags.push(flag);
                     }
                 }
-                other => return Err(SpecError::new(format!("unknown key \"{other}\""))),
+                (key, _) => return Err(member_error(key)),
             }
         }
         Ok(spec)
@@ -314,18 +405,19 @@ pub fn parse_jsonl(input: &[u8]) -> JsonlBatch {
     batch
 }
 
-fn expect_string(key: &str, value: json::Value) -> Result<String, SpecError> {
-    match value {
-        json::Value::String(s) => Ok(s),
-        _ => Err(SpecError::new(format!("\"{key}\" must be a string"))),
-    }
-}
+const NOT_AN_OBJECT: &str = "expected a JSON object";
 
-fn expect_bool(key: &str, value: json::Value) -> Result<bool, SpecError> {
-    match value {
-        json::Value::Bool(b) => Ok(b),
-        _ => Err(SpecError::new(format!("\"{key}\" must be a boolean"))),
-    }
+const FLAG_NOT_A_STRING: &str = "\"flags\" must be a string";
+
+/// Why member `key` was rejected: a recognised key whose value has the
+/// wrong type, or a key the vocabulary does not have.
+fn member_error(key: &str) -> SpecError {
+    SpecError::new(match key {
+        "actor" | "data" | "when" | "where" | "describe" => format!("\"{key}\" must be a string"),
+        "directed" => format!("\"{key}\" must be a boolean"),
+        "flags" => format!("\"{key}\" must be an array of strings"),
+        other => format!("unknown key \"{other}\""),
+    })
 }
 
 /// Parses an actor word from the shared CLI/JSONL vocabulary.
@@ -382,12 +474,16 @@ pub fn parse_location(value: &str) -> Option<DataLocation> {
     })
 }
 
-/// A minimal JSON reader: just enough for one flat spec object per
-/// line, exposed so callers with richer documents (the planner's
-/// problem files nest a spec object under a `"goal"` key) can decode
-/// once and hand sub-values to [`ActionSpec::from_json_value`].
+/// A small JSON reader: one linear lexer under two consumers.
+/// [`json::parse`] builds a [`json::Value`] tree — for callers with
+/// richer documents (the planner's problem files nest a spec object
+/// under a `"goal"` key), which decode once and hand sub-values to
+/// [`ActionSpec::from_json_value`].
+/// [`ActionSpec::from_json_line`] walks the same tokens straight into
+/// its fields and builds no tree.
 pub mod json {
     use super::SpecError;
+    use std::borrow::Cow;
 
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -409,175 +505,295 @@ pub mod json {
     /// Parses a complete JSON document; trailing non-whitespace is an
     /// error.
     pub fn parse(text: &str) -> Result<Value, SpecError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(SpecError::new(format!(
-                "unexpected trailing input at byte {pos}"
-            )));
-        }
+        let mut lexer = Lexer::new(text);
+        let token = lexer.token()?;
+        let value = lexer.build(token)?;
+        lexer.finish()?;
         Ok(value)
     }
 
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
+    /// The start of one JSON value: a whole scalar, or the opening
+    /// bracket of a container whose members the caller reads next with
+    /// [`Lexer::next_key`] or [`Lexer::next_item`].
+    #[derive(Debug)]
+    pub(crate) enum Token<'a> {
+        Null,
+        Bool(bool),
+        Number(f64),
+        /// Borrowed from the input unless it held an escape.
+        String(Cow<'a, str>),
+        ObjectStart,
+        ArrayStart,
     }
 
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, SpecError> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            None => Err(SpecError::new("unexpected end of input")),
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
-            Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-            Some(c) => Err(SpecError::new(format!(
-                "unexpected character '{}' at byte {pos}",
-                *c as char
-            ))),
-        }
+    /// One forward pass over a JSON text. Every byte is read once: a
+    /// string scans to its next `"` or `\` and takes the run between
+    /// as one slice of the (already valid UTF-8) input. The JSON
+    /// syntax, the escapes and every syntax error text live here.
+    #[derive(Debug)]
+    pub(crate) struct Lexer<'a> {
+        text: &'a str,
+        pos: usize,
     }
 
-    fn parse_literal(
-        bytes: &[u8],
-        pos: &mut usize,
-        word: &str,
-        value: Value,
-    ) -> Result<Value, SpecError> {
-        if bytes[*pos..].starts_with(word.as_bytes()) {
-            *pos += word.len();
-            Ok(value)
-        } else {
-            Err(SpecError::new(format!("invalid literal at byte {pos}")))
+    impl<'a> Lexer<'a> {
+        pub(crate) fn new(text: &'a str) -> Self {
+            Lexer { text, pos: 0 }
         }
-    }
 
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, SpecError> {
-        let start = *pos;
-        if bytes.get(*pos) == Some(&b'-') {
-            *pos += 1;
+        fn peek(&self) -> Option<u8> {
+            self.text.as_bytes().get(self.pos).copied()
         }
-        while *pos < bytes.len()
-            && (bytes[*pos].is_ascii_digit()
-                || matches!(bytes[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            *pos += 1;
-        }
-        std::str::from_utf8(&bytes[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Number)
-            .ok_or_else(|| SpecError::new(format!("invalid number at byte {start}")))
-    }
 
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, SpecError> {
-        debug_assert_eq!(bytes[*pos], b'"');
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err(SpecError::new("unterminated string")),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| SpecError::new("invalid \\u escape"))?;
-                            out.push(hex);
-                            *pos += 4;
-                        }
-                        _ => return Err(SpecError::new("invalid escape")),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&bytes[*pos..])
-                        .map_err(|_| SpecError::new("invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    *pos += ch.len_utf8();
-                }
+        fn skip_ws(&mut self) {
+            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                self.pos += 1;
             }
         }
-    }
 
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, SpecError> {
-        *pos += 1; // consume '['
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
+        /// Reads the next value's token, after any whitespace.
+        pub(crate) fn token(&mut self) -> Result<Token<'a>, SpecError> {
+            self.skip_ws();
+            match self.peek() {
+                None => Err(SpecError::new("unexpected end of input")),
+                Some(b'{') => {
+                    self.pos += 1;
+                    Ok(Token::ObjectStart)
                 }
-                _ => return Err(SpecError::new("expected ',' or ']' in array")),
+                Some(b'[') => {
+                    self.pos += 1;
+                    Ok(Token::ArrayStart)
+                }
+                Some(b'"') => self.string().map(Token::String),
+                Some(b't') => self.literal("true", Token::Bool(true)),
+                Some(b'f') => self.literal("false", Token::Bool(false)),
+                Some(b'n') => self.literal("null", Token::Null),
+                Some(c) if c.is_ascii_digit() || c == b'-' => self.number(),
+                Some(c) => Err(SpecError::new(format!(
+                    "unexpected character '{}' at byte {}",
+                    c as char, self.pos
+                ))),
             }
         }
-    }
 
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, SpecError> {
-        *pos += 1; // consume '{'
-        let mut pairs = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) != Some(&b'"') {
-                return Err(SpecError::new("expected a string key"));
-            }
-            let key = parse_string(bytes, pos)?;
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) != Some(&b':') {
-                return Err(SpecError::new("expected ':' after key"));
-            }
-            *pos += 1;
-            let value = parse_value(bytes, pos)?;
-            pairs.push((key, value));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
+        /// Steps to the next member of the object whose `{` was just
+        /// read (`first`) or whose last member's value was: its key,
+        /// with the `:` after it consumed, or `None` past the `}`.
+        pub(crate) fn next_key(&mut self, first: bool) -> Result<Option<Cow<'a, str>>, SpecError> {
+            self.skip_ws();
+            match self.peek() {
                 Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(pairs));
+                    self.pos += 1;
+                    return Ok(None);
+                }
+                _ if first => {}
+                Some(b',') => {
+                    self.pos += 1;
+                    self.skip_ws();
                 }
                 _ => return Err(SpecError::new("expected ',' or '}' in object")),
             }
+            if self.peek() != Some(b'"') {
+                return Err(SpecError::new("expected a string key"));
+            }
+            let key = self.string()?;
+            self.skip_ws();
+            if self.peek() != Some(b':') {
+                return Err(SpecError::new("expected ':' after key"));
+            }
+            self.pos += 1;
+            Ok(Some(key))
+        }
+
+        /// Steps to the next element of the array whose `[` was just
+        /// read (`first`) or whose last element was: `true` if one
+        /// follows, `false` past the `]`.
+        pub(crate) fn next_item(&mut self, first: bool) -> Result<bool, SpecError> {
+            self.skip_ws();
+            match self.peek() {
+                Some(b']') => {
+                    self.pos += 1;
+                    Ok(false)
+                }
+                _ if first => Ok(true),
+                Some(b',') => {
+                    self.pos += 1;
+                    Ok(true)
+                }
+                _ => Err(SpecError::new("expected ',' or ']' in array")),
+            }
+        }
+
+        /// Checks that nothing but whitespace follows the value read.
+        pub(crate) fn finish(&mut self) -> Result<(), SpecError> {
+            self.skip_ws();
+            if self.pos == self.text.len() {
+                Ok(())
+            } else {
+                Err(SpecError::new(format!(
+                    "unexpected trailing input at byte {}",
+                    self.pos
+                )))
+            }
+        }
+
+        /// Reads the rest of the value `token` starts into a tree.
+        fn build(&mut self, token: Token<'a>) -> Result<Value, SpecError> {
+            Ok(match token {
+                Token::Null => Value::Null,
+                Token::Bool(b) => Value::Bool(b),
+                Token::Number(n) => Value::Number(n),
+                Token::String(s) => Value::String(s.into_owned()),
+                Token::ArrayStart => {
+                    let mut items = Vec::new();
+                    while self.next_item(items.is_empty())? {
+                        let token = self.token()?;
+                        items.push(self.build(token)?);
+                    }
+                    Value::Array(items)
+                }
+                Token::ObjectStart => {
+                    let mut pairs = Vec::new();
+                    while let Some(key) = self.next_key(pairs.is_empty())? {
+                        let token = self.token()?;
+                        pairs.push((key.into_owned(), self.build(token)?));
+                    }
+                    Value::Object(pairs)
+                }
+            })
+        }
+
+        /// Reads past the rest of the value `token` starts, checking
+        /// its syntax without building anything. Open containers are
+        /// tracked on a heap stack, not the call stack, so no depth of
+        /// nesting can overflow the thread that decodes it.
+        pub(crate) fn skip(&mut self, mut token: Token<'a>) -> Result<(), SpecError> {
+            // One entry per open container: `true` for an object.
+            let mut open: Vec<bool> = Vec::new();
+            loop {
+                let mut first = match token {
+                    Token::ObjectStart => {
+                        open.push(true);
+                        true
+                    }
+                    Token::ArrayStart => {
+                        open.push(false);
+                        true
+                    }
+                    _ => false,
+                };
+                // Close finished containers until one has a value next.
+                loop {
+                    let Some(&object) = open.last() else {
+                        return Ok(());
+                    };
+                    let more = if object {
+                        self.next_key(first)?.is_some()
+                    } else {
+                        self.next_item(first)?
+                    };
+                    if more {
+                        break;
+                    }
+                    open.pop();
+                    first = false;
+                }
+                token = self.token()?;
+            }
+        }
+
+        fn literal(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, SpecError> {
+            if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+                self.pos += word.len();
+                Ok(token)
+            } else {
+                Err(SpecError::new(format!(
+                    "invalid literal at byte {}",
+                    self.pos
+                )))
+            }
+        }
+
+        fn number(&mut self) -> Result<Token<'a>, SpecError> {
+            let start = self.pos;
+            if self.peek() == Some(b'-') {
+                self.pos += 1;
+            }
+            while matches!(
+                self.peek(),
+                Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+            ) {
+                self.pos += 1;
+            }
+            self.text[start..self.pos]
+                .parse::<f64>()
+                .map(Token::Number)
+                .map_err(|_| SpecError::new(format!("invalid number at byte {start}")))
+        }
+
+        /// Reads the string whose opening `"` is at `pos`.
+        fn string(&mut self) -> Result<Cow<'a, str>, SpecError> {
+            let bytes = self.text.as_bytes();
+            self.pos += 1;
+            let mut run = self.pos;
+            let mut unescaped: Option<String> = None;
+            loop {
+                let Some(stop) = bytes[self.pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                else {
+                    return Err(SpecError::new("unterminated string"));
+                };
+                self.pos += stop;
+                // `"` and `\` are ASCII, so the run ends on a char
+                // boundary (and starts on one: see `escape`).
+                let text = &self.text[run..self.pos];
+                if bytes[self.pos] == b'"' {
+                    self.pos += 1;
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(text),
+                        Some(mut out) => {
+                            out.push_str(text);
+                            Cow::Owned(out)
+                        }
+                    });
+                }
+                let out = unescaped.get_or_insert_with(String::new);
+                out.push_str(text);
+                self.pos += 1;
+                out.push(self.escape()?);
+                run = self.pos;
+            }
+        }
+
+        /// Decodes the escape whose backslash was just read, leaving
+        /// `pos` past it. A `\u` escape takes four bytes that parse as
+        /// hex, so they are ASCII and `pos` stays on a char boundary.
+        fn escape(&mut self) -> Result<char, SpecError> {
+            let bytes = self.text.as_bytes();
+            let ch = match bytes.get(self.pos) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b't') => '\t',
+                Some(b'r') => '\r',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => {
+                    let ch = bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .and_then(char::from_u32)
+                        .ok_or_else(|| SpecError::new("invalid \\u escape"))?;
+                    self.pos += 4;
+                    ch
+                }
+                _ => return Err(SpecError::new("invalid escape")),
+            };
+            self.pos += 1;
+            Ok(ch)
         }
     }
 }
@@ -720,6 +936,92 @@ mod tests {
         let spec = ActionSpec::from_json_value(inner).unwrap();
         assert_eq!(spec.data, "subscriber");
         assert!(ActionSpec::from_json_value(json::Value::Null).is_err());
+    }
+
+    /// A request just under the wire's 1 MiB frame limit decodes in
+    /// linear time. Re-validating the rest of the line for every
+    /// character read made this one line take some 22 s in a release
+    /// build; linear decoding takes milliseconds even in a debug build.
+    #[test]
+    fn a_thousand_kib_description_decodes_within_a_second() {
+        let mut text = String::new();
+        while text.len() < 1000 * 1024 {
+            text.push_str("seized laptop \u{e9} \u{1f50d} \"tab\"\there\n");
+        }
+        let mut escaped = String::new();
+        crate::provenance::push_escaped(&mut escaped, &text);
+        let line = format!(r#"{{"actor": "leo", "describe": "{escaped}"}}"#);
+        let start = std::time::Instant::now();
+        let spec = ActionSpec::from_json_line(&line).unwrap();
+        let elapsed = start.elapsed();
+        assert!(
+            spec.describe.as_deref() == Some(text.as_str()),
+            "decoded text differs"
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "decoding {} bytes took {elapsed:?}",
+            line.len()
+        );
+    }
+
+    /// Values the spec does not use are read past on a heap stack, so
+    /// no depth of nesting overflows the decoding thread's call stack.
+    #[test]
+    fn deeply_nested_unknown_values_are_skipped_without_recursion() {
+        let depth = 200_000;
+        let line = format!(r#"{{"extra": {}{}}}"#, "[".repeat(depth), "]".repeat(depth));
+        let err = ActionSpec::from_json_line(&line).unwrap_err();
+        assert_eq!(err.to_string(), "unknown key \"extra\"");
+        let unclosed = format!(r#"{{"extra": {}"#, "[{\"k\": ".repeat(depth));
+        let err = ActionSpec::from_json_line(&unclosed).unwrap_err();
+        assert_eq!(err.to_string(), "unexpected end of input");
+    }
+
+    /// Precedence: a syntax error anywhere beats any key or type error,
+    /// and among those the first in source order wins.
+    #[test]
+    fn syntax_errors_outrank_the_first_key_error() {
+        let cases = [
+            (
+                r#"{"acter": "leo", "data": 7"#,
+                "expected ',' or '}' in object",
+            ),
+            (
+                r#"{"acter": "leo"} trailing"#,
+                "unexpected trailing input at byte 17",
+            ),
+            (r#"["leo", tru]"#, "invalid literal at byte 8"),
+            (
+                r#"{"data": 7, "acter": "leo"}"#,
+                "\"data\" must be a string",
+            ),
+            (
+                r#"{"flags": ["consent", 3, {}], "directed": "yes"}"#,
+                "\"flags\" must be a string",
+            ),
+            (r#"{"directed": null}"#, "\"directed\" must be a boolean"),
+            (
+                r#"{"flags": "consent"}"#,
+                "\"flags\" must be an array of strings",
+            ),
+            (r#"{"actor": "leo", "x\ty": 1}"#, "unknown key \"x\ty\""),
+            ("\"leo\"", "expected a JSON object"),
+        ];
+        for (line, expected) in cases {
+            let err = ActionSpec::from_json_line(line).unwrap_err();
+            assert_eq!(err.to_string(), expected, "{line}");
+        }
+    }
+
+    #[test]
+    fn repeated_keys_keep_the_last_value_and_accumulate_flags() {
+        let spec = ActionSpec::from_json_line(
+            r#"{"actor": "admin", "flags": ["consent"], "actor": "private", "flags": [], "flags": ["exigent"]}"#,
+        )
+        .unwrap();
+        assert_eq!(spec.actor, "private");
+        assert_eq!(spec.flags, vec!["consent", "exigent"]);
     }
 
     #[test]

@@ -97,14 +97,16 @@ struct Node {
 }
 
 /// Records `state` if reached cheaper than before (strict `<`, so the
-/// first relaxation at a given cost wins — determinism again).
+/// first relaxation at a given cost wins — determinism again). The step
+/// is built only then: most relaxations do not improve, and a collect
+/// step clones a name, a route and an assessment handle.
 fn relax(
     nodes: &mut HashMap<u64, Node>,
     heap: &mut BinaryHeap<Reverse<(u64, u64)>>,
     parent: u64,
     cost: u64,
     state: State,
-    step: PlanStep,
+    step: impl FnOnce() -> PlanStep,
 ) {
     let key = state.key();
     let improved = match nodes.get(&key) {
@@ -118,7 +120,7 @@ fn relax(
                 cost,
                 state,
                 parent: Some(parent),
-                step: Some(step),
+                step: Some(step()),
             },
         );
         heap.push(Reverse((cost, key)));
@@ -262,7 +264,7 @@ impl Planner {
                         process: next,
                         ..state
                     },
-                    PlanStep::Apply {
+                    || PlanStep::Apply {
                         process: next,
                         standard: state.standard,
                         cost: step_cost,
@@ -303,7 +305,7 @@ impl Planner {
                             standard,
                             process: state.process,
                         },
-                        PlanStep::Collect {
+                        || PlanStep::Collect {
                             item: item.name.clone(),
                             route: route.clone(),
                             held: state.process,

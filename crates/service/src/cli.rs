@@ -10,7 +10,9 @@
 //!
 //! This module is the single source of truth: the `lexforensica` CLI and
 //! the `bench` drivers parse with the same code, so the two vocabularies
-//! cannot drift.
+//! cannot drift. Each caller names the flags it reads ([`Args::parse`],
+//! [`Args::only`]) and any other flag is refused, so a misspelled or
+//! retired option fails loudly instead of running on defaults.
 
 use std::collections::BTreeMap;
 
@@ -22,15 +24,20 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses the process arguments (after the binary name).
+    /// Parses the process arguments (after the binary name), accepting
+    /// only the flags in `known`: the names the caller reads.
     ///
     /// # Panics
     ///
-    /// Panics with a readable message when a `--flag` is missing its
-    /// value — drivers want loud, immediate feedback, not silent
-    /// defaults for a typo.
-    pub fn parse() -> Self {
-        Args::parse_from(std::env::args().skip(1))
+    /// Panics with a readable message naming the flag when a `--flag` is
+    /// missing its value or is not in `known` — drivers want loud,
+    /// immediate feedback, not silent defaults for a typo.
+    pub fn parse(known: &[&str]) -> Self {
+        let args = Args::parse_from(std::env::args().skip(1));
+        if let Err(e) = args.only(known) {
+            panic!("{e}");
+        }
+        args
     }
 
     /// Parses from an explicit argument iterator (used by tests and by
@@ -53,6 +60,32 @@ impl Args {
             }
         }
         out
+    }
+
+    /// Checks that every flag given is in `known`, the names the caller
+    /// reads.
+    ///
+    /// # Errors
+    ///
+    /// Names the first unknown flag, in name order, and the known ones.
+    pub fn only(&self, known: &[&str]) -> Result<(), String> {
+        let Some(name) = self
+            .flags
+            .keys()
+            .find(|name| !known.contains(&name.as_str()))
+        else {
+            return Ok(());
+        };
+        let expected = if known.is_empty() {
+            "none".to_string()
+        } else {
+            known
+                .iter()
+                .map(|k| format!("--{k}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        Err(format!("unknown option --{name} (expected: {expected})"))
     }
 
     /// The raw value of `--name`, if present.
@@ -138,6 +171,19 @@ mod tests {
     #[should_panic(expected = "missing its value")]
     fn missing_value_panics() {
         args(&["--trials"]);
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_by_name() {
+        let a = args(&["--items", "4", "--itmes", "30"]);
+        assert_eq!(
+            a.only(&["items", "threads"]).unwrap_err(),
+            "unknown option --itmes (expected: --items, --threads)"
+        );
+        assert!(a.only(&["items", "itmes"]).is_ok());
+        let err = args(&["--verify=true"]).only(&[]).unwrap_err();
+        assert_eq!(err, "unknown option --verify (expected: none)");
+        assert!(args(&["positional"]).only(&[]).is_ok());
     }
 
     #[test]

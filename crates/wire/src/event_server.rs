@@ -59,6 +59,7 @@ use crate::conn::{ConnShared, Connection, Phase};
 use crate::frame::{self, Explain, Frame, PlanResponse, Response, Status};
 use crate::metrics::{WireMetrics, WireMetricsSnapshot};
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use forensic_law::action::InvestigativeAction;
 use forensic_law::batch::BatchAssessor;
 use forensic_law::factkey::FactKey;
 use forensic_law::provenance::push_escaped;
@@ -230,6 +231,19 @@ impl EvShared {
     }
 }
 
+/// Decodes an assess request's payload into the action it asks about:
+/// UTF-8, then [`ActionSpec::from_json_line`], then
+/// [`ActionSpec::to_action`]. The server, `replay` and compaction all
+/// decode through here, so the replay oracle reads each journaled
+/// request exactly as the server did. The error is the text a
+/// bad-request response carries.
+pub fn decode_action(payload: &[u8]) -> Result<InvestigativeAction, String> {
+    let line = std::str::from_utf8(payload).map_err(|e| format!("payload is not UTF-8: {e}"))?;
+    ActionSpec::from_json_line(line)
+        .and_then(|spec| spec.to_action())
+        .map_err(|e| e.to_string())
+}
+
 /// The compaction retention policy for a journal this server wrote:
 /// what `journal compact` keeps of each record, read from the status
 /// byte [`EventServer`] journals with it.
@@ -244,22 +258,15 @@ impl EvShared {
 ///   a past run's load, not about the law, so compaction drops them.
 pub fn compaction_retention(record: &Record) -> Retention {
     match Status::from_byte(record.status) {
-        Some(Status::Ok) => {
-            let action = std::str::from_utf8(&record.request).ok().and_then(|line| {
-                ActionSpec::from_json_line(line)
-                    .and_then(|spec| spec.to_action())
-                    .ok()
-            });
-            match action {
-                Some(action) => {
-                    let mut key = Vec::with_capacity(9);
-                    key.push(0x01);
-                    key.extend_from_slice(&FactKey::of(&action).bits().to_be_bytes());
-                    Retention::Supersede(key)
-                }
-                None => Retention::Keep,
+        Some(Status::Ok) => match decode_action(&record.request) {
+            Ok(action) => {
+                let mut key = Vec::with_capacity(9);
+                key.push(0x01);
+                key.extend_from_slice(&FactKey::of(&action).bits().to_be_bytes());
+                Retention::Supersede(key)
             }
-        }
+            Err(_) => Retention::Keep,
+        },
         Some(Status::BadRequest) => {
             let mut key = Vec::with_capacity(1 + record.request.len());
             key.push(0x02);
@@ -1096,14 +1103,7 @@ fn dispatch_request(shared: &Arc<EvShared>, conn: &mut Connection, request: fram
             provenance: provenance.into_bytes(),
         })
     };
-    let parsed = std::str::from_utf8(&request.payload)
-        .map_err(|e| format!("payload is not UTF-8: {e}"))
-        .and_then(|line| {
-            ActionSpec::from_json_line(line)
-                .and_then(|spec| spec.to_action())
-                .map_err(|e| e.to_string())
-        });
-    let action = match parsed {
+    let action = match decode_action(&request.payload) {
         Ok(action) => action,
         Err(message) => {
             metrics.bad_requests.inc();

@@ -75,7 +75,7 @@ pub mod metrics;
 pub mod sys;
 
 pub use client::{PendingCall, PendingPlan, WireClient, WireError};
-pub use event_server::{compaction_retention, EventServer, ExplainSink, WireConfig};
+pub use event_server::{compaction_retention, decode_action, EventServer, ExplainSink, WireConfig};
 pub use frame::{
     Frame, FrameError, PlanRequest, PlanResponse, Request, Response, Status, StreamDecoder,
     MAX_FRAME,

@@ -127,11 +127,16 @@ fn bad_requests_are_answered_in_band_and_the_connection_survives() {
         .expect("bind loopback");
     let client = WireClient::connect(server.local_addr()).expect("dial");
 
-    // Unparseable payloads: truncated JSON, bad UTF-8, unknown vocab.
+    // Unparseable payloads: truncated JSON, bad UTF-8, unknown vocab,
+    // and an unknown key whose value nests 100,000 deep (decoded on
+    // the loop thread, whose call stack it must not overflow).
+    let depth = 100_000;
+    let deep = format!(r#"{{"x": {}{}}}"#, "[".repeat(depth), "]".repeat(depth));
     for garbage in [
         br#"{"actor": "leo""#.to_vec(),
         vec![0xff, 0xfe, b'{'],
         br#"{"actor": "martian", "data": "headers", "when": "realtime", "where": "isp", "describe": "x"}"#.to_vec(),
+        deep.into_bytes(),
     ] {
         let response = client.roundtrip(garbage, 0).expect("in-band error");
         assert_eq!(response.status, Status::BadRequest);
@@ -145,9 +150,9 @@ fn bad_requests_are_answered_in_band_and_the_connection_survives() {
     assert_eq!(response.status, Status::Ok);
 
     let metrics = server.shutdown().metrics;
-    assert_eq!(metrics.bad_requests, 3);
+    assert_eq!(metrics.bad_requests, 4);
     assert_eq!(metrics.protocol_errors, 0);
-    assert_eq!(metrics.frames_out, 4);
+    assert_eq!(metrics.frames_out, 5);
 }
 
 #[test]

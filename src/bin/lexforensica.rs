@@ -22,11 +22,12 @@ use lexforensica::law::prelude::*;
 use lexforensica::law::provenance::push_escaped;
 use lexforensica::law::scenarios::table1;
 use lexforensica::law::spec::{
-    parse_actor, parse_category, parse_jsonl, parse_location, parse_temporality, ActionSpec,
-    LocatedError, SpecLine,
+    parse_actor, parse_category, parse_jsonl, parse_location, parse_temporality, LocatedError,
+    SpecLine,
 };
 use lexforensica::service::cli::Args;
 use lexforensica::service::prelude::*;
+use lexforensica::wire::decode_action;
 use lexforensica::wire::prelude::*;
 use std::collections::VecDeque;
 use std::path::Path;
@@ -160,6 +161,15 @@ fn usage() -> ExitCode {
       search the casebook by citation or holding text"
     );
     ExitCode::from(2)
+}
+
+/// Refuses any flag outside `known`, the flags the subcommand reads:
+/// names it, then prints the usage text (exit 2).
+fn check_flags(args: &Args, known: &[&str]) -> Result<(), ExitCode> {
+    args.only(known).map_err(|e| {
+        eprintln!("{e}");
+        usage()
+    })
 }
 
 fn cmd_table1() -> ExitCode {
@@ -311,6 +321,9 @@ fn explain_file(args: &Args) -> Result<Option<std::io::BufWriter<std::fs::File>>
 }
 
 fn cmd_assess_batch(args: Args) -> ExitCode {
+    if let Err(code) = check_flags(&args, &["threads", "seed", "explain"]) {
+        return code;
+    }
     let Some(path) = args.positional(0) else {
         return usage();
     };
@@ -463,7 +476,11 @@ fn cmd_journal_compact(args: &Args) -> ExitCode {
 /// `journal compact DIR` instead rewrites an existing journal down to
 /// its latest-wins survivors.
 fn cmd_journal(args: Args) -> ExitCode {
-    if args.positional(0) == Some("compact") {
+    let compact = args.positional(0) == Some("compact");
+    if let Err(code) = check_flags(&args, if compact { &[] } else { &["threads"] }) {
+        return code;
+    }
+    if compact {
         return cmd_journal_compact(&args);
     }
     let (Some(path), Some(dir)) = (args.positional(0), args.positional(1)) else {
@@ -559,18 +576,6 @@ fn cmd_journal(args: Args) -> ExitCode {
     }
 }
 
-/// Parses a journaled request payload back into an action (the same
-/// path the server took when it first answered it).
-fn parse_action(payload: &[u8]) -> Result<InvestigativeAction, String> {
-    std::str::from_utf8(payload)
-        .map_err(|e| format!("payload is not UTF-8: {e}"))
-        .and_then(|line| {
-            ActionSpec::from_json_line(line)
-                .and_then(|spec| spec.to_action())
-                .map_err(|e| e.to_string())
-        })
-}
-
 /// Scans the whole journal at `dir` into memory. Read-only: corruption
 /// is *reported* (uniformly, via the shared located-error shape), never
 /// repaired here. Shared by offline replay and `replay --serve`.
@@ -625,6 +630,14 @@ fn scan_journal(dir: &str, mode: Mode) -> Result<Vec<Record>, ExitCode> {
 /// *refired* over TCP against a live server, paced by the journaled
 /// timestamps.
 fn cmd_replay(args: Args) -> ExitCode {
+    let known: &[&str] = if args.get("serve").is_some() {
+        &["verify", "serve", "speed", "conns", "pipeline"]
+    } else {
+        &["verify", "threads"]
+    };
+    if let Err(code) = check_flags(&args, known) {
+        return code;
+    }
     let Some(dir) = args.positional(0) else {
         return usage();
     };
@@ -654,14 +667,14 @@ fn cmd_replay(args: Args) -> ExitCode {
     let mut skipped = 0u64;
     for record in &records {
         match Status::from_byte(record.status) {
-            Some(Status::Ok) => match parse_action(&record.request) {
+            Some(Status::Ok) => match decode_action(&record.request) {
                 Ok(action) => to_assess.push((record.seq, record.verdict.clone(), action)),
                 Err(e) => divergences.push(LocatedError::new(
                     format_args!("record {}", record.seq),
                     format_args!("journaled ok but the payload no longer parses: {e}"),
                 )),
             },
-            Some(Status::BadRequest) => match parse_action(&record.request) {
+            Some(Status::BadRequest) => match decode_action(&record.request) {
                 Err(_) => bad_confirmed += 1,
                 Ok(_) => divergences.push(LocatedError::new(
                     format_args!("record {}", record.seq),
@@ -911,6 +924,9 @@ fn cmd_replay_serve(args: &Args, addr: &str, records: &[Record]) -> ExitCode {
 /// the cheapest plan reaching every goal — or a provenance-backed
 /// "no lawful path" refusal naming the blocking rule.
 fn cmd_plan(args: Args) -> ExitCode {
+    if let Err(code) = check_flags(&args, &["threads"]) {
+        return code;
+    }
     let Some(path) = args.positional(0) else {
         return usage();
     };
@@ -992,6 +1008,19 @@ fn service_from_args(args: &Args) -> Option<ComplianceService> {
 /// `serve --tcp ADDR`: expose the service over the wire protocol until
 /// stdin reaches EOF, then drain gracefully.
 fn cmd_serve_tcp(args: &Args) -> ExitCode {
+    let known = [
+        "tcp",
+        "workers",
+        "capacity",
+        "policy",
+        "deadline-ms",
+        "max-inflight",
+        "explain",
+        "journal",
+    ];
+    if let Err(code) = check_flags(args, &known) {
+        return code;
+    }
     let addr = args.get("tcp").expect("dispatched on --tcp");
     let Some(service) = service_from_args(args) else {
         return usage();
@@ -1090,6 +1119,9 @@ fn cmd_serve_tcp(args: &Args) -> ExitCode {
 /// `assess-remote ADDR FILE`: replay a JSONL batch over the wire
 /// protocol, pipelined, and print assess-batch-identical rows.
 fn cmd_assess_remote(args: Args) -> ExitCode {
+    if let Err(code) = check_flags(&args, &["pipeline", "deadline-ms"]) {
+        return code;
+    }
     let (Some(addr), Some(path)) = (args.positional(0), args.positional(1)) else {
         return usage();
     };
@@ -1174,6 +1206,10 @@ fn cmd_assess_remote(args: Args) -> ExitCode {
 fn cmd_serve(args: Args) -> ExitCode {
     if args.get("tcp").is_some() {
         return cmd_serve_tcp(&args);
+    }
+    let known = ["workers", "capacity", "policy", "deadline-ms", "explain"];
+    if let Err(code) = check_flags(&args, &known) {
+        return code;
     }
     let Some(path) = args.positional(0) else {
         return usage();

@@ -223,6 +223,21 @@ fn assess_batch_output_is_thread_and_seed_invariant() {
     }
 }
 
+/// A misspelled flag is refused by name with the usage exit code, not
+/// silently ignored while the batch runs on defaults.
+#[test]
+fn assess_batch_misspelled_flag_exits_nonzero() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/assess_batch.jsonl"
+    );
+    let out = run(&["assess-batch", fixture, "--thread", "2"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "assessed despite the bad flag");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown option --thread"), "{stderr}");
+}
+
 /// The batch report surfaces throughput and the cache hit rate on
 /// stderr, in the same shape `serve` uses.
 #[test]
