@@ -15,14 +15,16 @@
 //!                       are asserted client-side only)
 //!     --workers N       service worker threads         (default: cores, min 4)
 //!     --capacity N      service queue capacity         (default 512)
-//!     --floor-us F      simulated engine floor, µs     (default 200)
 //!     --seed S          workload seed                  (default 42)
 //! ```
 //!
 //! One experiment: sweep 1, 2, 4, … connections (plus `--conns` itself
 //! when it is not a power of two — `--conns 10000` ends on a true
 //! C10K point), each pipelining `--pipeline` requests deep, all
-//! multiplexed into the one bounded-queue service. The load generator
+//! multiplexed into the one bounded-queue service. The pool has twelve
+//! fact patterns, so after its first twelve requests a sweep point is
+//! almost all verdict-cache hits, answered on the server's event loop:
+//! the sweep measures the serving layer itself. The load generator
 //! is the shared [`wire::load`] core — a single epoll readiness loop
 //! over nonblocking sockets, so ten thousand client connections cost
 //! one thread, not ten thousand; the same core paces journal replay in
@@ -170,14 +172,11 @@ fn sweep_points(max: usize) -> Vec<usize> {
 
 fn main() {
     let args = Args::parse(&[
-        "requests", "conns", "pipeline", "workers", "capacity", "floor-us", "seed", "addr",
+        "requests", "conns", "pipeline", "workers", "capacity", "seed", "addr",
     ]);
     let requests = args.u64_flag("requests", 500);
     let requested_max = args.usize_flag("conns", 8).max(1);
     let pipeline = args.usize_flag("pipeline", 16).max(1);
-    // The engine floor is a sleep, so workers overlap it even on one
-    // core — keep at least 4 so connection scaling is visible on small
-    // machines.
     let workers = args.usize_flag(
         "workers",
         std::thread::available_parallelism()
@@ -185,7 +184,6 @@ fn main() {
             .max(4),
     );
     let capacity = args.usize_flag("capacity", 512);
-    let floor_us = args.u64_flag("floor-us", 200);
     let seed = args.u64_flag("seed", 42);
     let external = args.get("addr").map(str::to_string);
     let model = if external.is_some() {
@@ -207,7 +205,7 @@ fn main() {
         .max(1);
     let max_connections = requested_max.min(conn_cap);
     println!(
-        "wire_load: {} line pool, seed {seed}, floor {floor_us}us, {workers} workers, pipeline {pipeline}",
+        "wire_load: {} line pool, seed {seed}, {workers} workers, pipeline {pipeline}",
         LINES.len()
     );
     match soft_limit {
@@ -248,8 +246,7 @@ fn main() {
                     workers,
                     capacity,
                     policy: AdmissionPolicy::Block,
-                    default_deadline: None,
-                    engine_floor: Duration::from_micros(floor_us),
+                    ..ServiceConfig::default()
                 }));
                 let server =
                     EventServer::start("127.0.0.1:0", Arc::clone(&service), WireConfig::default())

@@ -196,29 +196,25 @@ impl VerdictCache {
         &self.shards[(mixed >> 32) as usize % self.shards.len()]
     }
 
-    /// Folds externally served (worker-local) hits into the counters so
-    /// [`CacheStats`] reflects every engine run avoided.
-    pub(crate) fn add_hits(&self, n: u64) {
+    /// Folds hits served outside [`assess`](Self::assess) into the
+    /// counters, so [`CacheStats`] reflects every engine run avoided: a
+    /// batch worker's local hits, or a [`get`](Self::get) whose answer
+    /// the caller used.
+    pub fn add_hits(&self, n: u64) {
         self.hits.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The resident entry for `key`, without touching the counters.
-    fn resident(&self, key: &FactKey) -> Option<Arc<LegalAssessment>> {
+    /// The resident entry for `key`, without running the engine and
+    /// without touching the counters: a caller that answers from the
+    /// entry counts it with [`add_hits`](Self::add_hits), so a lookup
+    /// that ends up going through [`assess`](Self::assess) anyway is
+    /// counted once.
+    pub fn get(&self, key: &FactKey) -> Option<Arc<LegalAssessment>> {
         self.shard(key)
             .read()
             .expect("cache lock")
             .get(key)
             .cloned()
-    }
-
-    /// Looks up `key` without running the engine.
-    pub fn get(&self, key: &FactKey) -> Option<Arc<LegalAssessment>> {
-        let found = self.resident(key);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
     }
 
     /// Assesses `action` through the cache: returns the memoized
@@ -235,7 +231,7 @@ impl VerdictCache {
         action: &InvestigativeAction,
     ) -> Arc<LegalAssessment> {
         let key = FactKey::of(action);
-        if let Some(found) = self.resident(&key) {
+        if let Some(found) = self.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return found;
         }

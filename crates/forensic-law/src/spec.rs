@@ -43,10 +43,11 @@
 //!   [`ActionSpec::from_json_value`].
 //!
 //! Both report the same error for the same line. A syntax error
-//! anywhere on the line wins; otherwise the first key or type error in
-//! source order does. A repeated key keeps its last value, except that
-//! repeated `flags` arrays accumulate. Vocabulary words are checked
-//! afterwards, by [`ActionSpec::to_action`].
+//! anywhere on the line wins, and so does nesting deeper than
+//! [`json::MAX_NESTING`] arrays and objects; otherwise the first key or
+//! type error in source order does. A repeated key keeps its last
+//! value, except that repeated `flags` arrays accumulate. Vocabulary
+//! words are checked afterwards, by [`ActionSpec::to_action`].
 
 use crate::prelude::*;
 
@@ -502,8 +503,15 @@ pub mod json {
         Object(Vec<(String, Value)>),
     }
 
+    /// How deeply arrays and objects may nest. The lexer refuses the
+    /// container that would open one level deeper, so both readers
+    /// reject such a line with the same error, and neither the tree
+    /// [`parse`] builds (nor its recursive drop) can overflow the
+    /// stack of the thread decoding it.
+    pub const MAX_NESTING: usize = 128;
+
     /// Parses a complete JSON document; trailing non-whitespace is an
-    /// error.
+    /// error, and so is nesting deeper than [`MAX_NESTING`].
     pub fn parse(text: &str) -> Result<Value, SpecError> {
         let mut lexer = Lexer::new(text);
         let token = lexer.token()?;
@@ -529,16 +537,23 @@ pub mod json {
     /// One forward pass over a JSON text. Every byte is read once: a
     /// string scans to its next `"` or `\` and takes the run between
     /// as one slice of the (already valid UTF-8) input. The JSON
-    /// syntax, the escapes and every syntax error text live here.
+    /// syntax, the escapes, the nesting limit and every syntax error
+    /// text live here.
     #[derive(Debug)]
     pub(crate) struct Lexer<'a> {
         text: &'a str,
         pos: usize,
+        /// Containers opened and not yet closed.
+        depth: usize,
     }
 
     impl<'a> Lexer<'a> {
         pub(crate) fn new(text: &'a str) -> Self {
-            Lexer { text, pos: 0 }
+            Lexer {
+                text,
+                pos: 0,
+                depth: 0,
+            }
         }
 
         fn peek(&self) -> Option<u8> {
@@ -556,14 +571,8 @@ pub mod json {
             self.skip_ws();
             match self.peek() {
                 None => Err(SpecError::new("unexpected end of input")),
-                Some(b'{') => {
-                    self.pos += 1;
-                    Ok(Token::ObjectStart)
-                }
-                Some(b'[') => {
-                    self.pos += 1;
-                    Ok(Token::ArrayStart)
-                }
+                Some(b'{') => self.open(Token::ObjectStart),
+                Some(b'[') => self.open(Token::ArrayStart),
                 Some(b'"') => self.string().map(Token::String),
                 Some(b't') => self.literal("true", Token::Bool(true)),
                 Some(b'f') => self.literal("false", Token::Bool(false)),
@@ -576,6 +585,20 @@ pub mod json {
             }
         }
 
+        /// Opens the container whose bracket is at `pos`, unless that
+        /// would nest deeper than [`MAX_NESTING`].
+        fn open(&mut self, token: Token<'a>) -> Result<Token<'a>, SpecError> {
+            if self.depth == MAX_NESTING {
+                return Err(SpecError::new(format!(
+                    "nesting deeper than {MAX_NESTING} levels at byte {}",
+                    self.pos
+                )));
+            }
+            self.depth += 1;
+            self.pos += 1;
+            Ok(token)
+        }
+
         /// Steps to the next member of the object whose `{` was just
         /// read (`first`) or whose last member's value was: its key,
         /// with the `:` after it consumed, or `None` past the `}`.
@@ -584,6 +607,7 @@ pub mod json {
             match self.peek() {
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(None);
                 }
                 _ if first => {}
@@ -613,6 +637,7 @@ pub mod json {
             match self.peek() {
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     Ok(false)
                 }
                 _ if first => Ok(true),
@@ -637,7 +662,9 @@ pub mod json {
             }
         }
 
-        /// Reads the rest of the value `token` starts into a tree.
+        /// Reads the rest of the value `token` starts into a tree. It
+        /// recurses once per open container, so [`MAX_NESTING`] bounds
+        /// its stack.
         fn build(&mut self, token: Token<'a>) -> Result<Value, SpecError> {
             Ok(match token {
                 Token::Null => Value::Null,
@@ -665,8 +692,7 @@ pub mod json {
 
         /// Reads past the rest of the value `token` starts, checking
         /// its syntax without building anything. Open containers are
-        /// tracked on a heap stack, not the call stack, so no depth of
-        /// nesting can overflow the thread that decodes it.
+        /// tracked on a heap stack, not the call stack.
         pub(crate) fn skip(&mut self, mut token: Token<'a>) -> Result<(), SpecError> {
             // One entry per open container: `true` for an object.
             let mut open: Vec<bool> = Vec::new();
@@ -965,17 +991,25 @@ mod tests {
         );
     }
 
-    /// Values the spec does not use are read past on a heap stack, so
-    /// no depth of nesting overflows the decoding thread's call stack.
+    /// Values the spec does not use are read past without recursion,
+    /// up to the nesting limit; past it, both readers refuse the line
+    /// at the first bracket too deep, before reading any further.
     #[test]
     fn deeply_nested_unknown_values_are_skipped_without_recursion() {
+        // `{` is level 1, so the limit leaves `MAX_NESTING - 1` brackets.
+        let fits = json::MAX_NESTING - 1;
+        let line = format!(r#"{{"extra": {}{}}}"#, "[".repeat(fits), "]".repeat(fits));
+        let err = ActionSpec::from_json_line(&line).unwrap_err();
+        assert_eq!(err.to_string(), "unknown key \"extra\"");
+        let too_deep = "nesting deeper than 128 levels at byte 137";
         let depth = 200_000;
         let line = format!(r#"{{"extra": {}{}}}"#, "[".repeat(depth), "]".repeat(depth));
         let err = ActionSpec::from_json_line(&line).unwrap_err();
-        assert_eq!(err.to_string(), "unknown key \"extra\"");
-        let unclosed = format!(r#"{{"extra": {}"#, "[{\"k\": ".repeat(depth));
+        assert_eq!(err.to_string(), too_deep);
+        assert_eq!(json::parse(&line).unwrap_err().to_string(), too_deep);
+        let unclosed = format!(r#"{{"extra": {}"#, "[".repeat(depth));
         let err = ActionSpec::from_json_line(&unclosed).unwrap_err();
-        assert_eq!(err.to_string(), "unexpected end of input");
+        assert_eq!(err.to_string(), too_deep);
     }
 
     /// Precedence: a syntax error anywhere beats any key or type error,

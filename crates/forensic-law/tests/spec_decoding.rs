@@ -260,10 +260,14 @@ fn outcome(result: Result<ActionSpec, SpecError>) -> Result<ActionSpec, String> 
     result.map_err(|e| e.to_string())
 }
 
-fn check(line: &str) {
+fn check_readers(line: &str) {
     let direct = outcome(ActionSpec::from_json_line(line));
     let via_tree = outcome(json::parse(line).and_then(ActionSpec::from_json_value));
     assert_eq!(direct, via_tree, "decoders disagree on {line:?}");
+}
+
+fn check(line: &str) {
+    check_readers(line);
     let tree = json::parse(line).map_err(|e| e.to_string());
     let old = reference::parse(line).map_err(|e| e.to_string());
     assert_eq!(
@@ -296,6 +300,31 @@ fn direct_decoding_agrees_with_the_value_tree_on_every_prefix() {
     }
     // The generator must exercise both sides, not only error paths.
     assert!(ok > 200 && err > 200, "{ok} accepted, {err} rejected");
+}
+
+/// The nesting limit lives in the lexer, so both readers accept
+/// nesting up to it and refuse one level more with the same error, on
+/// every prefix. (The reference reader has no limit, so it is not
+/// consulted here.)
+#[test]
+fn both_readers_share_the_nesting_limit() {
+    let limit = json::MAX_NESTING;
+    for (open, close) in [("[", "]"), (r#"{"k": "#, "}")] {
+        // The line's own object is the first level.
+        for depth in [limit - 1, limit, 3 * limit] {
+            let line = format!(
+                r#"{{"actor": "leo", "extra": {}1{}}}"#,
+                open.repeat(depth),
+                close.repeat(depth)
+            );
+            check_readers(&line);
+            for (at, _) in line.char_indices() {
+                check_readers(&line[..at]);
+            }
+            let refused = json::parse(&line).is_err_and(|e| e.to_string().contains("nesting"));
+            assert_eq!(refused, depth >= limit, "depth {depth}: {line}");
+        }
+    }
 }
 
 /// `push_escaped` (the one string escaper) and the reader are inverses

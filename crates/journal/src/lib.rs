@@ -74,7 +74,7 @@ pub use compact::{CompactionReport, Retention, SwapRecovery};
 pub use crc::crc32;
 pub use reader::{read_all, JournalError, JournalReader, Mode, Truncation};
 pub use segment::{Record, RecordData};
-pub use writer::{Journal, JournalConfig, Recovery, SyncPolicy};
+pub use writer::{Journal, JournalConfig, Recovery, SyncPolicy, TryAppendError};
 
 /// The capture clock: microseconds since the UNIX epoch, right now.
 ///

@@ -3,8 +3,9 @@
 //! [`Journal::open`] recovers the directory (scanning segments,
 //! truncating a torn tail, computing the next sequence number) and
 //! spawns a single writer thread. Producers pay one bounded-channel
-//! send per record; the writer drains whatever has accumulated, writes
-//! it, and issues **one** `fdatasync` for the whole batch — the classic
+//! send per record ([`Journal::try_append`] for one that must never
+//! wait); the writer drains whatever has accumulated, writes it, and
+//! issues **one** `fdatasync` for the whole batch — the classic
 //! group-commit trade: per-record latency bounded by one batch, per-
 //! record fsync cost amortized across the batch.
 //!
@@ -31,8 +32,8 @@ use crate::RecordData;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, TryLockError};
 use std::thread::JoinHandle;
 
 /// When the writer thread syncs file contents to stable storage.
@@ -58,7 +59,8 @@ pub struct JournalConfig {
     /// large). Default 64 MiB.
     pub segment_bytes: u64,
     /// Bounded depth of the append channel; producers block when the
-    /// writer falls this far behind. Default 1024.
+    /// writer falls this far behind (`try_append` hands the record back
+    /// instead). Default 1024.
     pub queue_depth: usize,
     /// Sync policy. Default [`SyncPolicy::GroupCommit`].
     pub sync: SyncPolicy,
@@ -235,6 +237,40 @@ impl Journal {
         }
     }
 
+    /// [`append`](Self::append) without waiting, for a caller that must
+    /// never block (an event loop): it waits neither for room in the
+    /// queue nor for the enqueue lock, which a blocked `append` holds
+    /// while its send waits. Sequence order stays channel order.
+    ///
+    /// # Errors
+    ///
+    /// [`TryAppendError::Full`] hands the record back, with no sequence
+    /// number used, when appending now would wait;
+    /// [`TryAppendError::Refused`] carries what [`append`](Self::append)
+    /// would have returned after [`close`](Self::close) or a writer
+    /// failure.
+    pub fn try_append(&self, data: RecordData) -> Result<u64, TryAppendError> {
+        let mut enq = match self.enq.try_lock() {
+            Ok(enq) => enq,
+            Err(TryLockError::WouldBlock) => return Err(TryAppendError::Full(data)),
+            Err(TryLockError::Poisoned(e)) => panic!("enqueue lock: {e}"),
+        };
+        let Some(tx) = enq.tx.as_ref() else {
+            return Err(TryAppendError::Refused(JournalError::WriterClosed));
+        };
+        let seq = enq.next_seq;
+        match tx.try_send((seq, data)) {
+            Ok(()) => {
+                enq.next_seq = seq + 1;
+                Ok(seq)
+            }
+            Err(TrySendError::Full((_, data))) => Err(TryAppendError::Full(data)),
+            Err(TrySendError::Disconnected(_)) => {
+                Err(TryAppendError::Refused(self.writer_failure()))
+            }
+        }
+    }
+
     /// Appends and blocks until the record is committed per the sync
     /// policy. See [`append`](Self::append) for errors.
     ///
@@ -309,6 +345,27 @@ impl Journal {
         }
     }
 }
+
+/// Why [`Journal::try_append`] did not take a record.
+#[derive(Debug)]
+pub enum TryAppendError {
+    /// The queue is full, or another producer holds the enqueue lock:
+    /// appending would wait. The record comes back unappended.
+    Full(RecordData),
+    /// The journal is closed or its writer failed.
+    Refused(JournalError),
+}
+
+impl std::fmt::Display for TryAppendError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TryAppendError::Full(_) => f.write_str("journal queue is full"),
+            TryAppendError::Refused(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for TryAppendError {}
 
 impl Drop for Journal {
     fn drop(&mut self) {
@@ -441,4 +498,69 @@ fn sync_dir(dir: &Path) -> Result<(), JournalError> {
         let _ = d.sync_all();
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reader::read_all;
+    use obs::TraceId;
+
+    fn sample(n: u64) -> RecordData {
+        RecordData {
+            trace: TraceId::from_u64(n),
+            at_us: n,
+            status: 0,
+            request: format!("req-{n}").into_bytes(),
+            verdict: format!("v-{n}").into_bytes(),
+        }
+    }
+
+    /// A full queue hands the record back and uses up no sequence
+    /// number: the next append takes the next contiguous one.
+    #[test]
+    fn try_append_on_a_full_queue_hands_the_record_back() {
+        const MAX_ATTEMPTS: u64 = 1_000_000;
+        let dir = std::env::temp_dir().join(format!("lxj-try-full-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (journal, _) = Journal::open(
+            &dir,
+            JournalConfig {
+                queue_depth: 1,
+                ..JournalConfig::default()
+            },
+        )
+        .expect("open");
+        // The writer syncs each batch, so a one-deep queue fills within
+        // a few attempts; the bound only turns a regression into a
+        // failure instead of a hang.
+        let mut next = 1u64;
+        let handed_back = loop {
+            assert!(next <= MAX_ATTEMPTS, "the queue never reported full");
+            match journal.try_append(sample(next)) {
+                Ok(seq) => {
+                    assert_eq!(seq, next, "sequence numbers are contiguous");
+                    next += 1;
+                }
+                Err(TryAppendError::Full(data)) => break data,
+                Err(TryAppendError::Refused(e)) => panic!("open journal refused: {e}"),
+            }
+        };
+        assert_eq!(handed_back.request, sample(next).request);
+        assert_eq!(journal.append(handed_back).expect("append"), next);
+        journal.close().expect("close");
+        assert!(matches!(
+            journal.try_append(sample(next + 1)),
+            Err(TryAppendError::Refused(JournalError::WriterClosed))
+        ));
+
+        let (records, truncation) = read_all(&dir, Mode::Strict).expect("strict scan");
+        assert!(truncation.is_none());
+        assert_eq!(records.len() as u64, next);
+        for (i, record) in records.iter().enumerate() {
+            assert_eq!(record.seq, i as u64 + 1);
+            assert_eq!(record.request, sample(record.seq).request);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

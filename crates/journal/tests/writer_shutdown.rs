@@ -11,7 +11,9 @@
 //! race to `close()` fails cleanly with `WriterClosed`, never hangs,
 //! never half-writes.
 
-use journal::{read_all, Journal, JournalConfig, JournalError, Mode, RecordData, SyncPolicy};
+use journal::{
+    read_all, Journal, JournalConfig, JournalError, Mode, RecordData, SyncPolicy, TryAppendError,
+};
 use obs::TraceId;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -25,11 +27,32 @@ fn request_for(producer: usize, i: usize) -> Vec<u8> {
     format!("{{\"producer\":{producer},\"i\":{i}}}").into_bytes()
 }
 
+/// How a producer appends: [`Journal::append`], or the non-blocking
+/// [`Journal::try_append`] retried until it takes the record.
+type Append = fn(&Journal, RecordData) -> Result<u64, JournalError>;
+
+fn blocking_append(journal: &Journal, data: RecordData) -> Result<u64, JournalError> {
+    journal.append(data)
+}
+
+fn retried_try_append(journal: &Journal, mut data: RecordData) -> Result<u64, JournalError> {
+    loop {
+        match journal.try_append(data) {
+            Ok(seq) => return Ok(seq),
+            Err(TryAppendError::Full(back)) => {
+                data = back;
+                std::thread::yield_now();
+            }
+            Err(TryAppendError::Refused(e)) => return Err(e),
+        }
+    }
+}
+
 /// One racy run: producers append while the main thread closes at a
 /// phase that varies with `run`. Returns (accepted map seq → request,
 /// rejected count).
-fn racy_run(run: usize) -> (HashMap<u64, Vec<u8>>, usize) {
-    let dir = std::env::temp_dir().join(format!("lxj-shutdown-{}-{run}", std::process::id()));
+fn racy_run(run: usize, name: &str, append: Append) -> (HashMap<u64, Vec<u8>>, usize) {
+    let dir = std::env::temp_dir().join(format!("lxj-{name}-{}-{run}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (journal, recovery) = Journal::open(
         &dir,
@@ -65,7 +88,7 @@ fn racy_run(run: usize) -> (HashMap<u64, Vec<u8>>, usize) {
                         request: request.clone(),
                         verdict: format!("v-{producer}-{i}").into_bytes(),
                     };
-                    match journal.append(data) {
+                    match append(journal, data) {
                         Ok(seq) => {
                             let prior = accepted.lock().expect("map").insert(seq, request);
                             assert!(prior.is_none(), "writer assigned seq {seq} twice");
@@ -75,13 +98,16 @@ fn racy_run(run: usize) -> (HashMap<u64, Vec<u8>>, usize) {
                             // Once closed, closed forever: the next try
                             // must fail the same way.
                             assert!(matches!(
-                                journal.append(RecordData {
-                                    trace: TraceId::UNTRACED,
-                                    at_us: 0,
-                                    status: 0,
-                                    request: Vec::new(),
-                                    verdict: Vec::new(),
-                                }),
+                                append(
+                                    journal,
+                                    RecordData {
+                                        trace: TraceId::UNTRACED,
+                                        at_us: 0,
+                                        status: 0,
+                                        request: Vec::new(),
+                                        verdict: Vec::new(),
+                                    }
+                                ),
                                 Err(JournalError::WriterClosed)
                             ));
                             return;
@@ -142,11 +168,24 @@ fn racy_run(run: usize) -> (HashMap<u64, Vec<u8>>, usize) {
 
 #[test]
 fn graceful_close_journals_every_acknowledged_append() {
+    close_race_sweep("shutdown", blocking_append);
+}
+
+/// The same sweep through `try_append`, which takes the enqueue lock
+/// with `try_lock` and sends with `try_send`: every `Ok(seq)` it
+/// returned before the close is on disk afterwards, and a record it
+/// handed back was never journaled.
+#[test]
+fn graceful_close_journals_every_acknowledged_try_append() {
+    close_race_sweep("try-shutdown", retried_try_append);
+}
+
+fn close_race_sweep(name: &str, append: Append) {
     let mut total_accepted = 0usize;
     let mut total_rejected = 0usize;
     let mut full_runs = 0usize;
     for run in 0..RUNS {
-        let (accepted, rejected) = racy_run(run);
+        let (accepted, rejected) = racy_run(run, name, append);
         if accepted.len() == PRODUCERS * PER_PRODUCER {
             full_runs += 1;
         }

@@ -43,6 +43,9 @@ pub enum Stage {
     /// The terminal record for a request: how it was answered. The
     /// span's `detail` carries the outcome code.
     Respond,
+    /// A verdict-cache hit answered on the wire's event-loop thread:
+    /// lookup and journal append, with no queue or engine stage.
+    Inline,
 }
 
 impl Stage {
@@ -53,6 +56,7 @@ impl Stage {
             Stage::Engine => "engine",
             Stage::Serialize => "serialize",
             Stage::Respond => "respond",
+            Stage::Inline => "inline",
         }
     }
 
@@ -62,6 +66,7 @@ impl Stage {
             Stage::Engine => 2,
             Stage::Serialize => 3,
             Stage::Respond => 4,
+            Stage::Inline => 5,
         }
     }
 
@@ -71,6 +76,7 @@ impl Stage {
             2 => Stage::Engine,
             3 => Stage::Serialize,
             4 => Stage::Respond,
+            5 => Stage::Inline,
             _ => return None,
         })
     }
@@ -416,6 +422,7 @@ mod tests {
             Stage::Engine,
             Stage::Serialize,
             Stage::Respond,
+            Stage::Inline,
         ] {
             assert_eq!(Stage::from_u64(stage.as_u64()), Some(stage));
             assert!(!stage.name().is_empty());

@@ -16,17 +16,30 @@
 //! # Architecture
 //!
 //! ```text
-//!              ┌────────────────────────────────────────────┐
-//!              │  event loop thread                         │
-//!   accept ───►│  epoll_wait ── readable ──► read → decode  │
-//!              │      ▲                      └► submit ─────┼──► service
-//!              │      │ doorbell                            │    workers
-//!              │      │ (eventfd)  writable ─► writev flush │      │
-//!              └──────┼─────────────────────────────▲───────┘      │
-//!                     │                             │              │
-//!                     └── ring ◄── outbox ◄── encode + journal ◄───┘
+//!              ┌──────────────────────────────────────────────────┐
+//!              │  event loop thread                               │
+//!   accept ───►│  epoll_wait ── readable ──► read → decode        │
+//!              │      ▲                        ├► cache hit:      │
+//!              │      │                        │  journal, encode │
+//!              │      │                        │  → write queue   │
+//!              │      │ doorbell               └► miss: submit ───┼──► service
+//!              │      │ (eventfd)  writable ─► writev flush       │    workers
+//!              └──────┼───────────────────────────────────▲───────┘      │
+//!                     │                                   │              │
+//!                     └── ring ◄── outbox ◄── encode + journal ◄─────────┘
 //!                            (completion observer, worker thread)
 //! ```
+//!
+//! A **verdict-cache hit** is answered on the loop thread: after decode
+//! the loop looks the request's [`FactKey`] up in the service's
+//! verdict cache and, on a hit, appends the journal record without
+//! waiting ([`Journal::try_append`]), encodes the response straight
+//! into the write queue and releases the in-flight slot. Only misses
+//! cross threads, and so do hits that want provenance (an in-band
+//! explain flag or an explain sink: the record needs the assessment's
+//! provenance, built by the worker path) or that find the journal
+//! queue full. Admission, deadlines and the engine floor therefore
+//! apply to misses only.
 //!
 //! The **completion path** is the only cross-thread traffic: a service
 //! worker's observer encodes the response frame, appends the journal
@@ -53,7 +66,8 @@
 //! backlog, stop decoding, answer every in-flight request and flush it,
 //! then FIN with a bounded linger. Nothing admitted is lost; nothing is
 //! answered twice — trace minting at decode, journal append before
-//! response enqueue and the explain-sink lines all hold through it.
+//! response enqueue (on both paths) and the explain-sink lines all hold
+//! through it.
 
 use crate::conn::{ConnShared, Connection, Phase};
 use crate::frame::{self, Explain, Frame, PlanResponse, Response, Status};
@@ -64,7 +78,7 @@ use forensic_law::batch::BatchAssessor;
 use forensic_law::factkey::FactKey;
 use forensic_law::provenance::push_escaped;
 use forensic_law::spec::ActionSpec;
-use journal::{Journal, Record, RecordData, Retention};
+use journal::{Journal, Record, RecordData, Retention, TryAppendError};
 use obs::{Stage, TraceId};
 use service::prelude::*;
 use std::io::{self, Write as _};
@@ -201,9 +215,10 @@ impl EvShared {
     ///
     /// Every answered request — verdicts, bad requests, rejections — is
     /// appended *before* its response is queued, so a drained server
-    /// plus a closed journal holds every acknowledged disposition. The
-    /// hot path pays one bounded-channel send; fsync is the journal
-    /// writer's group-commit problem. Append failure is terminal for the
+    /// plus a closed journal holds every acknowledged disposition. Each
+    /// append is one bounded-channel send (a non-blocking one for
+    /// inline hits, see `answer_inline`); fsync is the journal writer's
+    /// group-commit problem. Append failure is terminal for the
     /// journal writer and surfaces through `Journal::close`, not
     /// per-request.
     fn journal_record(&self, trace: TraceId, status: Status, request: Vec<u8>, verdict: Vec<u8>) {
@@ -1080,10 +1095,73 @@ fn dispatch_plan_request(
     });
 }
 
-/// An assess request: parse, submit with a completion observer, and
-/// answer parse failures and rejections in-band. Responses reach the
-/// write queue directly on the loop thread, or through the outbox and
-/// doorbell from service workers.
+/// Answers a verdict-cache hit on the loop thread: journals it,
+/// encodes and queues the `Ok` response, and releases the in-flight
+/// slot. Returns `false`, having changed nothing, when the request must
+/// take the worker path instead: a miss, wanted provenance (an in-band
+/// explain flag or an explain sink), or a journal queue with no room
+/// right now. The hit is counted here, so a request that falls back is
+/// counted once, by the worker's lookup.
+fn answer_inline(
+    shared: &EvShared,
+    conn: &mut Connection,
+    request: &frame::Request,
+    action: &InvestigativeAction,
+    trace: TraceId,
+    received: Instant,
+) -> bool {
+    if request.want_explain || shared.explain.is_some() {
+        return false;
+    }
+    let log = obs::global();
+    let start_us = if log.is_enabled() { obs::now_us() } else { 0 };
+    let cache = shared.service.cache();
+    let Some(assessment) = cache.get(&FactKey::of(action)) else {
+        return false;
+    };
+    let verdict = assessment.verdict_line().into_bytes();
+    if let Some(journal) = &shared.journal {
+        let record = RecordData {
+            trace,
+            at_us: journal::now_us(),
+            status: Status::Ok.as_byte(),
+            request: request.payload.clone(),
+            verdict: verdict.clone(),
+        };
+        // A refused append (closed journal, failed writer) is dropped
+        // exactly as the worker path drops it; see `journal_record`.
+        if let Err(TryAppendError::Full(_)) = journal.try_append(record) {
+            return false;
+        }
+    }
+    cache.add_hits(1);
+    shared.metrics.answered_inline.inc();
+    if log.is_enabled() {
+        log.record_closed(trace, Stage::Inline, start_us, 0);
+    }
+    let elapsed = received.elapsed();
+    let bytes = encode_response(
+        trace,
+        Response {
+            id: request.id,
+            status: Status::Ok,
+            queue_wait_us: 0,
+            total_us: elapsed.as_micros().min(u64::MAX as u128) as u64,
+            explain: None,
+            payload: verdict,
+        },
+    );
+    conn.wq.push(bytes);
+    conn.shared.inflight.fetch_sub(1, Ordering::Release);
+    shared.metrics.record_latency(elapsed);
+    true
+}
+
+/// An assess request: parse, answer a cache hit inline, otherwise
+/// submit with a completion observer, and answer parse failures and
+/// rejections in-band. Responses reach the write queue directly on the
+/// loop thread, or through the outbox and doorbell from service
+/// workers.
 fn dispatch_request(shared: &Arc<EvShared>, conn: &mut Connection, request: frame::Request) {
     let metrics = &shared.metrics;
     let received = Instant::now();
@@ -1139,6 +1217,9 @@ fn dispatch_request(shared: &Arc<EvShared>, conn: &mut Connection, request: fram
             return;
         }
     };
+    if answer_inline(shared, conn, &request, &action, trace, received) {
+        return;
+    }
 
     let deadline =
         (request.deadline_ms > 0).then(|| Duration::from_millis(u64::from(request.deadline_ms)));

@@ -36,6 +36,11 @@ pub struct WireMetrics {
     /// Requests not admitted by the service (answered `Rejected` or
     /// `GoingAway` in-band).
     pub not_admitted: Counter,
+    /// Assess requests answered from the verdict cache on the event
+    /// loop, never submitted to the service. On assess traffic,
+    /// `frames_in = answered_inline + service accepted + bad_requests +
+    /// not_admitted`.
+    pub answered_inline: Counter,
     /// Event-loop doorbell wakeups (eventfd reads). Responses ÷ wakeups
     /// is the completion-batching factor.
     pub wakeups: Counter,
@@ -74,6 +79,7 @@ impl WireMetrics {
             protocol_errors: self.protocol_errors.get(),
             bad_requests: self.bad_requests.get(),
             not_admitted: self.not_admitted.get(),
+            answered_inline: self.answered_inline.get(),
             wakeups: self.wakeups.get(),
             writev_batches: self.writev_batches.get(),
             peak_inflight: self.peak_inflight.load(Ordering::Relaxed),
@@ -103,6 +109,8 @@ pub struct WireMetricsSnapshot {
     pub bad_requests: u64,
     /// Admission refusals answered in-band.
     pub not_admitted: u64,
+    /// Cache hits answered on the event loop, never submitted.
+    pub answered_inline: u64,
     /// Event-loop doorbell wakeups.
     pub wakeups: u64,
     /// Vectored write calls.
@@ -123,8 +131,8 @@ impl WireMetricsSnapshot {
             out,
             "{{\"connections_opened\": {}, \"connections_closed\": {}, \"frames_in\": {}, \
              \"frames_out\": {}, \"bytes_in\": {}, \"bytes_out\": {}, \"protocol_errors\": {}, \
-             \"bad_requests\": {}, \"not_admitted\": {}, \"wakeups\": {}, \
-             \"writev_batches\": {}, \"peak_inflight\": {}, ",
+             \"bad_requests\": {}, \"not_admitted\": {}, \"answered_inline\": {}, \
+             \"wakeups\": {}, \"writev_batches\": {}, \"peak_inflight\": {}, ",
             self.connections_opened,
             self.connections_closed,
             self.frames_in,
@@ -134,6 +142,7 @@ impl WireMetricsSnapshot {
             self.protocol_errors,
             self.bad_requests,
             self.not_admitted,
+            self.answered_inline,
             self.wakeups,
             self.writev_batches,
             self.peak_inflight,
@@ -154,7 +163,8 @@ impl std::fmt::Display for WireMetricsSnapshot {
         writeln!(
             f,
             "connections={}/{} frames in/out={}/{} bytes in/out={}/{} \
-             protocol_errors={} bad_requests={} not_admitted={} peak_inflight={}",
+             protocol_errors={} bad_requests={} not_admitted={} answered_inline={} \
+             peak_inflight={}",
             self.connections_opened,
             self.connections_closed,
             self.frames_in,
@@ -164,6 +174,7 @@ impl std::fmt::Display for WireMetricsSnapshot {
             self.protocol_errors,
             self.bad_requests,
             self.not_admitted,
+            self.answered_inline,
             self.peak_inflight
         )?;
         write!(f, "  wire latency: {}", self.wire_latency)
@@ -188,10 +199,13 @@ mod tests {
         let m = WireMetrics::default();
         m.connections_opened.inc();
         m.frames_in.add(3);
+        m.answered_inline.add(2);
         m.record_latency(Duration::from_micros(250));
         let text = m.snapshot().to_json();
         assert!(text.starts_with('{') && text.ends_with('}'));
         assert!(text.contains("\"frames_in\": 3"));
+        assert!(text.contains("\"answered_inline\": 2"));
+        assert!(m.snapshot().to_string().contains("answered_inline=2"));
         assert!(text.contains("\"wire_latency_us\": {\"count\": 1"));
         assert!(!text.contains('\n'));
         forensic_law::spec::json::parse(&text).expect("snapshot JSON parses");

@@ -387,3 +387,228 @@ fn deadline_zero_means_none_and_tight_deadlines_time_out_in_band() {
     assert_eq!(saw, 32);
     server.shutdown();
 }
+
+/// A fresh journal directory for one test.
+fn journal_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("lxj-event-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A journaled server on a fresh two-worker service.
+fn journaled_server(
+    dir: &std::path::Path,
+) -> (Arc<ComplianceService>, Arc<journal::Journal>, EventServer) {
+    let (journal, _) =
+        journal::Journal::open(dir, journal::JournalConfig::default()).expect("open journal");
+    let journal = Arc::new(journal);
+    let service = start_service(2, 64, AdmissionPolicy::Block);
+    let server = EventServer::start_with_sinks(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        WireConfig::default(),
+        None,
+        Some(Arc::clone(&journal)),
+    )
+    .expect("bind loopback");
+    (service, journal, server)
+}
+
+/// A repeat of a pattern the cache already holds is answered on the
+/// event loop: the service never sees it, and it is journaled once.
+#[test]
+fn a_warmed_repeat_is_answered_inline_and_journaled_once() {
+    let dir = journal_dir("inline-repeat");
+    let (service, journal, server) = journaled_server(&dir);
+    let client = WireClient::connect(server.local_addr()).expect("dial");
+
+    let warm = client
+        .roundtrip(LINES[0].as_bytes().to_vec(), 0)
+        .expect("warm-up answered");
+    assert_eq!(warm.status, Status::Ok);
+    let submitted = service.metrics().submitted;
+    let inline = server.metrics().answered_inline;
+    let hits = service.cache().stats().hits;
+
+    let repeat = client
+        .roundtrip(LINES[0].as_bytes().to_vec(), 0)
+        .expect("repeat answered");
+    assert_eq!(repeat.status, Status::Ok);
+    assert_eq!(repeat.payload, warm.payload);
+    assert_eq!(
+        service.metrics().submitted,
+        submitted,
+        "the repeat reached the service"
+    );
+    assert_eq!(server.metrics().answered_inline, inline + 1);
+    assert_eq!(service.cache().stats().hits, hits + 1);
+
+    drop(client);
+    server.shutdown();
+    journal.close().expect("journal closes");
+    let (records, truncation) = journal::read_all(&dir, journal::Mode::Strict).expect("scan");
+    assert!(truncation.is_none());
+    assert_eq!(records.len(), 2, "one record per answered request");
+    let record = &records[1];
+    assert_eq!(record.seq, 2);
+    assert_eq!(record.status, Status::Ok.as_byte());
+    assert_eq!(record.request, LINES[0].as_bytes());
+    assert_eq!(record.verdict, repeat.payload);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An inline answer's span chain is the loop's own: an inline span and
+/// the serialize span, with no queue or engine stage.
+#[test]
+fn a_traced_inline_hit_records_inline_and_serialize_spans_only() {
+    use obs::Stage;
+
+    let log = obs::global();
+    log.set_enabled(true);
+    let dir = journal_dir("inline-spans");
+    let (_service, journal, server) = journaled_server(&dir);
+    let client = WireClient::connect(server.local_addr()).expect("dial");
+    for _ in 0..2 {
+        let response = client
+            .roundtrip(LINES[3].as_bytes().to_vec(), 0)
+            .expect("answered");
+        assert_eq!(response.status, Status::Ok);
+    }
+    assert_eq!(server.metrics().answered_inline, 1);
+    drop(client);
+    server.shutdown();
+    journal.close().expect("journal closes");
+
+    // The journal names each request's trace id.
+    let (records, _) = journal::read_all(&dir, journal::Mode::Strict).expect("scan");
+    let spans_of = |trace: obs::TraceId| -> Vec<Stage> {
+        log.spans_for(trace).iter().map(|s| s.stage).collect()
+    };
+    let miss = spans_of(records[0].trace);
+    assert!(
+        miss.contains(&Stage::Queue) && miss.contains(&Stage::Engine),
+        "the first request took the worker path: {miss:?}"
+    );
+    let hit = spans_of(records[1].trace);
+    assert!(
+        hit.contains(&Stage::Inline) && hit.contains(&Stage::Serialize),
+        "inline hit chain: {hit:?}"
+    );
+    assert!(
+        !hit.contains(&Stage::Queue) && !hit.contains(&Stage::Engine),
+        "an inline hit crossed the service: {hit:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Wanted provenance takes the worker path even on a hit: a repeat
+/// asking for in-band explain, and every request to a server with an
+/// explain sink.
+#[test]
+fn explained_repeats_and_explain_sinks_take_the_worker_path() {
+    let service = start_service(1, 8, AdmissionPolicy::Block);
+    let server = EventServer::start("127.0.0.1:0", Arc::clone(&service), WireConfig::default())
+        .expect("bind loopback");
+    let client = WireClient::connect(server.local_addr()).expect("dial");
+    let line = LINES[2].as_bytes().to_vec();
+    assert_eq!(
+        client.roundtrip(line.clone(), 0).expect("warm").status,
+        Status::Ok
+    );
+    let explained = client
+        .submit_explained(line.clone(), 0)
+        .expect("submit explained")
+        .wait()
+        .expect("explained repeat answered");
+    assert!(explained.explain.is_some(), "explain section missing");
+    assert_eq!(server.metrics().answered_inline, 0);
+    assert_eq!(service.metrics().submitted, 2);
+    // The same repeat without the flag is answered inline.
+    assert_eq!(client.roundtrip(line, 0).expect("plain").status, Status::Ok);
+    assert_eq!(server.metrics().answered_inline, 1);
+    drop(client);
+    server.shutdown();
+
+    let service = start_service(1, 8, AdmissionPolicy::Block);
+    let sink = ExplainSink::new(Box::new(std::io::sink()));
+    let server = EventServer::start_with_sinks(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        WireConfig::default(),
+        Some(sink),
+        None,
+    )
+    .expect("bind loopback");
+    let client = WireClient::connect(server.local_addr()).expect("dial");
+    for i in 0..12 {
+        let response = client
+            .roundtrip(LINES[i % 2].as_bytes().to_vec(), 0)
+            .expect("answered");
+        assert_eq!(response.status, Status::Ok);
+    }
+    drop(client);
+    let metrics = server.shutdown().metrics;
+    assert_eq!(metrics.answered_inline, 0, "a sink's record was skipped");
+    assert_eq!(service.metrics().accepted, 12);
+    assert_eq!(service.cache().stats().hits, 10);
+}
+
+/// On a pipelined mix of hits, misses and bad requests every frame is
+/// counted exactly once: `frames_in = answered_inline + accepted +
+/// bad_requests + not_admitted`, and the cache counts one lookup per
+/// decoded request with `misses == entries`.
+#[test]
+fn inline_and_worker_counters_add_up_on_a_mixed_stream() {
+    const FLAGS: &[&str] = &["consent", "exigent", "plain-view", "probation", "rate-only"];
+    let service = start_service(2, 64, AdmissionPolicy::Block);
+    let server = EventServer::start("127.0.0.1:0", Arc::clone(&service), WireConfig::default())
+        .expect("bind loopback");
+    let client = WireClient::connect(server.local_addr()).expect("dial");
+
+    let mut payloads = Vec::new();
+    for i in 0..240usize {
+        let payload = match i % 8 {
+            // Bad requests: broken JSON and an unknown actor.
+            0 => br#"{"actor": "leo""#.to_vec(),
+            1 => br#"{"actor": "martian"}"#.to_vec(),
+            // Misses at first: a new fact pattern per flag and line.
+            2 => format!(
+                r#"{{"actor": "leo", "data": "content", "when": "stored", "where": "device", "flags": ["{}"]}}"#,
+                FLAGS[(i / 8) % FLAGS.len()]
+            )
+            .into_bytes(),
+            // Repeats of a small hot set.
+            _ => LINES[i % LINES.len()].as_bytes().to_vec(),
+        };
+        payloads.push(payload);
+    }
+    let calls: Vec<_> = payloads
+        .iter()
+        .map(|p| client.submit(p.clone(), 0).expect("submit"))
+        .collect();
+    let mut bad = 0u64;
+    for call in calls {
+        match call.wait().expect("answered").status {
+            Status::Ok => {}
+            Status::BadRequest => bad += 1,
+            other => panic!("unexpected status {other}"),
+        }
+    }
+    drop(client);
+    let wire = server.shutdown().metrics;
+    let service = Arc::try_unwrap(service).expect("sole owner");
+    let stats = service.cache().stats();
+    let finals = service.shutdown();
+
+    assert_eq!(wire.frames_in, payloads.len() as u64);
+    assert_eq!(wire.bad_requests, bad);
+    assert_eq!(
+        wire.frames_in,
+        wire.answered_inline + finals.accepted + wire.bad_requests + wire.not_admitted,
+        "{wire}"
+    );
+    assert!(wire.answered_inline > 0, "no hit was answered inline");
+    assert!(finals.accepted > 0, "no miss reached the service");
+    assert_eq!(stats.misses, stats.entries, "{stats}");
+    assert_eq!(stats.lookups(), wire.answered_inline + finals.accepted);
+}

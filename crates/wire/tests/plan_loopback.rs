@@ -144,6 +144,58 @@ fn event_server_answers_v1_v2_v3_interleaved() {
     Arc::try_unwrap(service).expect("sole owner").shutdown();
 }
 
+/// A plan line nested 20,000 deep (about 20 KB, far under the frame
+/// limit) used to overflow the solving thread's stack in `json::parse`
+/// and abort the server. The nesting limit makes it a bad request,
+/// answered in-band, and the same server keeps answering plan and
+/// assess requests.
+#[test]
+fn a_deeply_nested_plan_frame_is_a_bad_request_not_a_crash() {
+    let service = start_service();
+    let server = EventServer::start("127.0.0.1:0", Arc::clone(&service), WireConfig::default())
+        .expect("bind loopback");
+    let client = WireClient::connect(server.local_addr()).expect("dial");
+
+    let deep = format!(r#"{{"goal": "x", "collect": {}"#, "[".repeat(20_000));
+    let response = client
+        .submit_plan(deep.into_bytes(), 0)
+        .expect("deep plan submit")
+        .wait()
+        .expect("deep plan answered");
+    assert_eq!(response.status, Status::BadRequest);
+    let errors = String::from_utf8(response.payload).expect("utf-8 errors");
+    assert!(
+        errors.contains("line 1") && errors.contains("nesting"),
+        "{errors}"
+    );
+
+    let plan = client
+        .submit_plan(SOLVABLE.as_bytes().to_vec(), 0)
+        .expect("plan submit")
+        .wait()
+        .expect("plan answered");
+    assert_eq!(plan.status, Status::Ok);
+    assert_eq!(
+        String::from_utf8(plan.payload).expect("utf-8 plan"),
+        expected_plan(SOLVABLE)
+    );
+    let assess = client
+        .roundtrip(ACTION.as_bytes().to_vec(), 0)
+        .expect("assess answered");
+    assert_eq!(assess.status, Status::Ok);
+    assert_eq!(
+        String::from_utf8(assess.payload).expect("utf-8"),
+        expected_verdict(ACTION)
+    );
+
+    drop(client);
+    let report = server.shutdown();
+    assert_eq!(report.metrics.frames_in, 3);
+    assert_eq!(report.metrics.bad_requests, 1);
+    assert_eq!(report.metrics.protocol_errors, 0);
+    Arc::try_unwrap(service).expect("sole owner").shutdown();
+}
+
 /// The byte-identity pin for pre-v3 clients: v1 and v2 request frames
 /// hand-assembled from the documented layouts must equal today's
 /// encoder output bit for bit — adding kinds 5/6 must not have moved a
